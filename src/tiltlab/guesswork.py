@@ -25,7 +25,7 @@ from .sources import (
     DEFAULT_BUDGET,
     CategoricalSource,
     SequenceSource,
-    enumerate_word_log_probs,
+    _word_levels,
     tilt,
     validate,
 )
@@ -34,21 +34,36 @@ from .sources import (
 TIE_TOL_PER_SYMBOL = 1e-12
 
 
-def _rank_order(logp: np.ndarray, tie_tol: float) -> np.ndarray:
-    """Lexicographic indices sorted by (-log-prob, lex index).
+def _tie_group_ids(descending: np.ndarray, tie_tol: float) -> np.ndarray:
+    """Tie-group id, counted from 1, of each entry of a non-increasing sequence.
 
-    A stable argsort already leaves bit-equal probabilities in lexicographic
-    order; groups of near-equal values (within tie_tol) are re-sorted so the
-    numeric tie guard gives the same treatment.
+    A new group starts where a value lies more than tie_tol below the one
+    before it, so near-equal values chain into one group.
     """
-    sorted_idx = np.argsort(-logp, kind="stable")
-    slp = logp[sorted_idx]
-    starts = np.empty(slp.size, dtype=bool)
+    starts = np.empty(descending.size, dtype=bool)
     starts[0] = True
     with np.errstate(invalid="ignore"):
-        np.greater(slp[:-1] - slp[1:], tie_tol, out=starts[1:])
-    group = np.cumsum(starts)
-    return sorted_idx[np.lexsort((sorted_idx, group))]
+        np.greater(descending[:-1] - descending[1:], tie_tol, out=starts[1:])
+    return np.cumsum(starts)
+
+
+def _rank_order(
+    levels: np.ndarray, level_of: Optional[np.ndarray], tie_tol: float
+) -> np.ndarray:
+    """Lexicographic string indices sorted by (tie group, lex index).
+
+    `levels` are the log-prob levels and `level_of` maps each string to its
+    level (None when there is one level per string).  Tie groups are found
+    on the levels sorted once; each string then gets its level's group as a
+    small integer key, and one stable sort on that key leaves every group's
+    strings in lexicographic order, which is the tie-break.
+    """
+    by_level = np.argsort(-levels)  # order among equal levels does not matter
+    ids = _tie_group_ids(levels[by_level], tie_tol)
+    group = np.empty(levels.size, dtype=np.min_scalar_type(ids[-1]))
+    group[by_level] = ids
+    key = group if level_of is None else group[level_of]
+    return np.argsort(key, kind="stable")
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,20 +130,22 @@ class RankTable:
 
     def tie_groups(self) -> np.ndarray:
         """Group id per rank position; equal ids mean tied probabilities."""
-        slp = self.log_probs[self.order]
-        starts = np.empty(slp.size, dtype=bool)
-        starts[0] = True
-        with np.errstate(invalid="ignore"):
-            np.greater(slp[:-1] - slp[1:], TIE_TOL_PER_SYMBOL * self.n, out=starts[1:])
-        return np.cumsum(starts)
+        return _tie_group_ids(self.log_probs[self.order], TIE_TOL_PER_SYMBOL * self.n)
 
 
 def build_rank_table(
     source: SequenceSource, n: int, budget: int = DEFAULT_BUDGET
 ) -> RankTable:
-    """Enumerate all length-n strings and assign optimal/reverse ranks."""
-    logp = enumerate_word_log_probs(source, n, budget)
-    order = _rank_order(logp, TIE_TOL_PER_SYMBOL * n)
+    """Enumerate all length-n strings and assign optimal/reverse ranks.
+
+    For an i.i.d. source only the C(n+k-1, k-1) type-class levels are sorted
+    and grouped; every string's log-prob and tie-group key are gathers from
+    its class.  Markov and hidden Markov strings are grouped on their own
+    log-probs.  One stable sort on the integer group key then gives the
+    rank order.
+    """
+    logp, levels, level_of = _word_levels(source, n, budget)
+    order = _rank_order(levels, level_of, TIE_TOL_PER_SYMBOL * n)
     rank_of = np.empty(logp.size, dtype=np.int64)
     rank_of[order] = np.arange(1, logp.size + 1)
     for arr in (logp, order, rank_of):

@@ -10,9 +10,10 @@ log domain so that large tilt orders on skewed distributions stay finite.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -274,15 +275,16 @@ SequenceSource = Union[CategoricalSource, MarkovSource, HiddenMarkovSource]
 def string_log_prob(source: SequenceSource, x: Union[str, Sequence[str]]) -> float:
     """Exact natural-log probability of the string under the source.
 
-    For i.i.d. sources the per-symbol logs are accumulated in alphabet order
-    (via the symbol-count vector), so two strings in the same type class get
-    bit-identical results.  Hidden Markov likelihoods use the scaled forward
-    recursion.
+    For i.i.d. sources the value is the dot product of the symbol-count
+    vector with the symbol log-probs, so two strings in the same type class
+    get bit-identical results.  A symbol the string does not use adds no
+    term, so a zero-probability symbol gives -inf only to strings that use
+    it.  Hidden Markov likelihoods use the scaled forward recursion.
     """
     idx = source.alphabet.encode(x)
     if isinstance(source, CategoricalSource):
         counts = np.bincount(idx, minlength=len(source.alphabet)).astype(np.float64)
-        return float(np.dot(counts, source.log_theta))
+        return float(np.dot(counts, np.where(counts > 0, source.log_theta, 0.0)))
     if isinstance(source, MarkovSource):
         with np.errstate(divide="ignore"):
             lp = float(np.log(source.initial[idx[0]]))
@@ -320,29 +322,35 @@ def enumerate_word_log_probs(
 ) -> np.ndarray:
     """Log-probability of every length-n string, in lexicographic order.
 
-    For i.i.d. sources the value is a fixed-order function of the symbol
-    counts, so equal type classes are bit-identical (that is what makes
-    probability ties exact).  Markov strings extend prefix log-probs one
-    transition at a time; hidden Markov strings carry a scaled forward vector
-    per prefix.
+    For i.i.d. sources the value is gathered from the log-prob of the
+    string's type class, so strings with equal symbol counts get bit-identical
+    values (that is what makes probability ties exact).  There are only
+    C(n+k-1, k-1) classes for k symbols; each class log-prob is accumulated
+    in alphabet order as 0.0, then += count * log theta, and a zero count
+    adds no term.  Markov strings extend prefix log-probs one transition at a
+    time; hidden Markov strings carry a scaled forward vector per prefix.
+    """
+    return _word_levels(source, n, budget)[0]
+
+
+def _word_levels(
+    source: SequenceSource, n: int, budget: int
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """(per-string log-probs, levels, level_of) for all length-n strings.
+
+    For i.i.d. sources `levels` holds one log-prob per type class and
+    `level_of` maps each lexicographic string index to its class.  For Markov
+    and hidden Markov sources the levels are the per-string log-probs and
+    `level_of` is None.  The budget is checked before anything is allocated.
     """
     k = len(source.alphabet)
     if n < 1:
         raise ValueError("n must be >= 1")
     require_budget(k, n, budget)
-    total = k**n
 
     if isinstance(source, CategoricalSource):
-        counts = np.zeros((k, total), dtype=np.uint16)
-        rem = np.arange(total, dtype=np.int64)
-        for _ in range(n):
-            rem, digit = np.divmod(rem, k)
-            for i in range(k):
-                counts[i] += digit == i
-        logp = np.zeros(total)
-        for i in range(k):
-            logp += counts[i] * source.log_theta[i]
-        return logp
+        levels, level_of = _type_classes(source, n)
+        return levels[level_of], levels, level_of
 
     if isinstance(source, MarkovSource):
         with np.errstate(divide="ignore"):
@@ -351,7 +359,7 @@ def enumerate_word_log_probs(
         for _ in range(n - 1):
             last = np.arange(cur.size, dtype=np.int64) % k
             cur = (cur[:, None] + log_t[last, :]).reshape(-1)
-        return cur
+        return cur, cur, None
 
     # hidden Markov: prefix-indexed scaled forward vectors
     emission_t = source.emission.T  # (symbols, states)
@@ -371,7 +379,53 @@ def enumerate_word_log_probs(
         with np.errstate(divide="ignore"):
             logp = logp + np.where(scale > 0, np.log(safe), -np.inf)
         forward = forward / safe[:, None]
-    return logp
+    return logp, logp, None
+
+
+def _type_classes(source: CategoricalSource, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Log-prob of every type class, and the class of every length-n string.
+
+    A type class is a composition c of n into k symbol counts.  It is numbered
+    by the colex rank of its stars-and-bars form, with the bars at the suffix
+    sums q_i = c_{k-1-i} + ... + c_{k-1} (i = 0..k-2):
+    rank = sum_i C(q_i + i, i + 1).  Unranking finds q_{k-2} first, which
+    yields the counts c_0, c_1, ... in alphabet order, so the class log-prob
+    is accumulated exactly as a per-string count vector would give it.
+
+    A length-j prefix is held as the class of its counts plus n - j padding
+    counts on symbol 0.  Appending symbol s moves one padding count to s: q_i
+    grows by one for i >= k-1-s, and the rank by sum_{i >= k-1-s} C(q_i + i, i).
+    `succ[r, s]` is that successor for the C(n+k-2, k-1) classes that still
+    hold padding, which are the lowest ranks.  The strings' classes are then
+    built one symbol at a time, one gather per level, in lexicographic order.
+    """
+    k = len(source.alphabet)
+    log_theta = source.log_theta
+    n_classes = math.comb(n + k - 1, k - 1)
+    n_padded = math.comb(n + k - 2, k - 1)
+    dtype = np.min_scalar_type(n_classes - 1)
+
+    rem = np.arange(n_classes, dtype=np.int64)
+    levels = np.zeros(n_classes)
+    succ = np.empty((n_padded, k), dtype=dtype)
+    succ[:, 0] = np.arange(n_padded)  # symbol 0 takes the padding count
+    above = np.full(n_classes, n, dtype=np.int64)  # q_{i+1}; q_{k-1} = n
+    with np.errstate(invalid="ignore"):  # 0 * log 0, masked out below
+        for i in range(k - 2, -1, -1):
+            bar_rank = np.array([math.comb(v + i, i + 1) for v in range(n + 1)])
+            q = np.searchsorted(bar_rank, rem, side="right") - 1
+            rem -= bar_rank[q]
+            count = above - q  # c_{k-2-i}
+            np.add(levels, count * log_theta[k - 2 - i], out=levels, where=count > 0)
+            step = np.array([math.comb(v + i, i) for v in range(n)])
+            succ[:, k - 1 - i] = succ[:, k - 2 - i] + step[q[:n_padded]]
+            above = q
+        np.add(levels, above * log_theta[k - 1], out=levels, where=above > 0)
+
+    level_of = np.zeros(1, dtype=dtype)
+    for _ in range(n):
+        level_of = succ.take(level_of, axis=0).reshape(-1)
+    return levels, level_of
 
 
 # ---------------------------------------------------------------------------
