@@ -25,10 +25,10 @@ def main() -> None:
 
     print(f"n={args.n} eps={args.epsilon}")
     print(f"{'t':>6} {'empirical':>12} {'J(t)':>12} {'diff':>9}")
-    for t in np.arange(0.1, math.log(3), 0.1):
+    ts = np.arange(0.1, math.log(3), 0.1)
+    for t, rate in zip(ts, tl.rate_points(source, "forward_g", ts).rate.tolist()):
         p = float(probs[np.abs(norm_log_rank - t) < args.epsilon].sum())
         empirical = -math.log(p) / args.n if p > 0 else math.inf
-        rate = tl.rate_g(source, float(t))
         print(f"{t:6.2f} {empirical:12.4f} {rate:12.4f} {empirical - rate:9.4f}")
 
 

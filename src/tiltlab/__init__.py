@@ -46,6 +46,7 @@ from .rates import (
     rate_derivatives,
     rate_g,
     rate_i,
+    rate_points,
     rate_r,
 )
 from .sources import (

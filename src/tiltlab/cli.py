@@ -172,19 +172,12 @@ def _cmd_rate(args) -> int:
     source = _categorical(src.load_source(args.source))
     kind = {"g": "forward_g", "r": "reverse_r", "i": "information_i"}[args.kind]
     if args.t_grid:
-        ts = _parse_grid(args.t_grid)
-        rows = []
-        for t in ts:
-            alpha = rt._solve_alpha(source, float(t), kind)
-            rate = ms.relative_entropy(src.tilt(source, alpha), source)
-            d1, d2 = rt._derivatives_at_alpha(source, alpha, kind)
-            rows.append((kind, alpha, t, rate, d1, d2))
+        curve = rt.rate_points(source, kind, _parse_grid(args.t_grid))
     else:
         curve = rt.rate_curve(source, kind, n_samples=args.samples)
-        rows = curve.rows()
     meta = _source_meta(args)
     meta["kind"] = args.kind
-    _write_csv(args.out, ["kind", "alpha", "t_nats", "J_nats", "dJdt", "d2Jdt2"], rows, meta)
+    _write_csv(args.out, ["kind", "alpha", "t_nats", "J_nats", "dJdt", "d2Jdt2"], curve.rows(), meta)
     return 0
 
 

@@ -66,6 +66,24 @@ def _rank_order(
     return np.argsort(key, kind="stable")
 
 
+#: rows decoded at a time by `RankTable.records`
+_RECORDS_CHUNK = 1 << 16
+
+
+def _decode_strings(symbols: tuple[str, ...], n: int, lex_indices: np.ndarray) -> list[str]:
+    """The length-n strings at the given lexicographic indices."""
+    tokens = np.array(symbols, dtype=object)
+    rem = np.asarray(lex_indices, dtype=np.int64)
+    digits = []
+    for _ in range(n):
+        rem, digit = np.divmod(rem, len(symbols))
+        digits.append(digit)
+    strings = tokens[digits.pop()]
+    for digit in reversed(digits):
+        strings = strings + tokens[digit]
+    return strings.tolist()
+
+
 @dataclass(frozen=True, eq=False)
 class RankTable:
     """All |alphabet|^n strings with their log-prob, guesswork G and reverse rank R.
@@ -99,12 +117,7 @@ class RankTable:
         return out
 
     def string_at(self, lex_index: int) -> str:
-        k = len(self.source.alphabet)
-        digits = []
-        for _ in range(self.n):
-            lex_index, d = divmod(lex_index, k)
-            digits.append(d)
-        return self.source.alphabet.decode(reversed(digits))
+        return _decode_strings(self.source.alphabet.symbols, self.n, [lex_index])[0]
 
     def guesswork(self, x) -> int:
         return int(self.rank_of[self.index_of(x)])
@@ -125,8 +138,12 @@ class RankTable:
     def records(self) -> Iterator[tuple[str, float, int, int]]:
         """(string, log-prob, G, R) rows in rank order."""
         size = self.size
-        for r, idx in enumerate(self.order, start=1):
-            yield self.string_at(int(idx)), float(self.log_probs[idx]), r, size + 1 - r
+        for start in range(0, size, _RECORDS_CHUNK):
+            idx = self.order[start : start + _RECORDS_CHUNK]
+            strings = _decode_strings(self.source.alphabet.symbols, self.n, idx)
+            ranks = range(start + 1, start + idx.size + 1)
+            for x, logp, r in zip(strings, self.log_probs[idx].tolist(), ranks):
+                yield x, logp, r, size + 1 - r
 
     def tie_groups(self) -> np.ndarray:
         """Group id per rank position; equal ids mean tied probabilities."""
@@ -238,7 +255,8 @@ class SetReport:
         }[set_name]
 
     def member_strings(self, set_name: str) -> list[str]:
-        return [self.table.string_at(int(i)) for i in self.members(set_name)]
+        table = self.table
+        return _decode_strings(table.source.alphabet.symbols, table.n, self.members(set_name))
 
     @property
     def all_passed(self) -> bool:

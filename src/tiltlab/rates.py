@@ -3,15 +3,22 @@ information.
 
 Each curve is parameterized implicitly: a target level t is inverted to the
 tilt order alpha whose tilted entropy (or cross entropy) equals t, and the
-rate value is the relative entropy of that tilt from the source.  Inversion
-is plain bisection after geometric bracket expansion; the solved functions
-are strictly monotone per branch, so bisection cannot fail inside a bracket.
+rate value is the relative entropy of that tilt from the source.  The level
+is strictly monotone in alpha on each branch, so bisection cannot fail
+inside a bracket.
+
+`rate_points` inverts a whole grid of t at once.  Every t brackets its root
+on the same geometric ladder of alpha, whose exact levels are computed once
+per call, and then all t bisect in lockstep.  A vectorized (t x symbols)
+tilted level decides on which side of t each midpoint lies; only when it
+falls within LEVEL_GUARD of t does the scalar exact level decide.  Each
+decision is thus the one a lone scalar bisection on the exact level makes,
+and the roots are the same floats.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -53,25 +60,135 @@ def cross_entropy_range(source: CategoricalSource) -> CrossEntropyRange:
     )
 
 
-def _bisect(
-    f: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float
-) -> float:
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
+#: how each kind's root is bracketed: the level's slope sign in alpha, the
+#: start bracket (lo, hi), then the two ends in walk order.  An end whose
+#: level lies on the wrong side of t steps outward by its factor, handing its
+#: old value to the other end; a step that leaves [1e-14, ALPHA_CAP] in
+#: |alpha| fails with the end's message.
+_BRACKETS = {
+    "forward_g": (-1.0, (1e-6, 1.0), (
+        ("lo", 0.5, "t is too close to log|alphabet|"),
+        ("hi", 2.0, "t is too close to 0"),
+    )),
+    "reverse_r": (1.0, (-1.0, -1e-6), (
+        ("hi", 0.5, "t is too close to log|alphabet|"),
+        ("lo", 2.0, "t is too close to 0"),
+    )),
+    "information_i": (-1.0, (-1.0, 1.0), (
+        ("hi", 2.0, "t is too close to the min-cross entropy"),
+        ("lo", 2.0, "t is too close to the max-cross entropy"),
+    )),
+}
+
+#: relative distance from t inside which the vectorized level defers to the
+#: exact scalar level when deciding on which side of t a bisection midpoint
+#: lies; the two levels differ by a few ulps, far below this margin
+LEVEL_GUARD = 1e-13
+
+
+def _exact_level(source: CategoricalSource, kind: str, alpha: float) -> float:
+    """Entropy (or cross entropy against the source) of the order-alpha tilt."""
+    tilted = tilt(source, alpha)
+    if kind == "information_i":
+        return cross_entropy(tilted, source)
+    return entropy(tilted)
+
+
+def _fast_levels(source: CategoricalSource, kind: str, alphas: np.ndarray) -> np.ndarray:
+    """`_exact_level` at many orders at once, summed in a different order."""
+    lt = np.multiply.outer(alphas, source.log_theta)
+    top = lt.max(axis=1, keepdims=True)
+    lt -= top + np.log(np.exp(lt - top).sum(axis=1, keepdims=True))
+    weights = source.log_theta if kind == "information_i" else lt
+    return -(np.exp(lt) * weights).sum(axis=1)
+
+
+def _sides(
+    source: CategoricalSource, kind: str, alphas: np.ndarray, ts: np.ndarray
+) -> np.ndarray:
+    """Sign of exact level minus t at each (alpha, t) pair."""
+    diff = _fast_levels(source, kind, alphas) - ts
+    sides = np.sign(diff)
+    unsure = ~(np.abs(diff) > LEVEL_GUARD * np.maximum(1.0, np.abs(ts)))
+    for i in np.flatnonzero(unsure):
+        sides[i] = np.sign(_exact_level(source, kind, float(alphas[i])) - ts[i])
+    return sides
+
+
+def _solve(source: CategoricalSource, kind: str, ts: np.ndarray) -> np.ndarray:
+    """The tilt order on the kind's branch whose level equals each t.
+
+    Raises the error of the first t, in order, that is outside the open
+    domain or whose root cannot be bracketed.
+    """
+    validate(source)
+    lower, upper = _domain(source, kind)
+    outside = np.flatnonzero(~((lower < ts) & (ts < upper)))
+    head = ts[: outside[0]] if outside.size else ts
+    lo, hi, flo, fhi = _bracket(source, kind, head)
+    if outside.size:
+        shown = f"({lower}, {upper})" if kind == "information_i" else f"(0, {upper})"
+        raise OutOfRange(f"t={float(ts[outside[0]])} outside {shown}")
+    return _bisect_all(source, kind, ts, lo, hi, flo, fhi)
+
+
+def _bracket(source: CategoricalSource, kind: str, ts: np.ndarray):
+    """Walk every t's bracket out along the kind's two ladders in lockstep.
+
+    Every t that walks an end starts it from the same start value, so the
+    ladder points, and their exact levels, are shared by all t.
+    """
+    slope, starts, walks = _BRACKETS[kind]
+    start = dict(zip(("lo", "hi"), starts))
+    ends = {e: np.full(ts.size, start[e]) for e in start}
+    f = {e: _exact_level(source, kind, start[e]) - ts for e in start}
+    failed = np.full(ts.size, None, dtype=object)
+    for end, factor, message in walks:
+        other = "hi" if end == "lo" else "lo"
+        wrong = slope if end == "lo" else -slope
+        x = start[end]
+        walking = wrong * f[end] > 0.0
+        while walking.any():
+            ends[other][walking] = ends[end][walking]
+            f[other][walking] = f[end][walking]
+            x *= factor
+            if not 1e-14 <= abs(x) <= ALPHA_CAP:
+                failed[walking] = message
+                break
+            ends[end][walking] = x
+            f[end][walking] = _exact_level(source, kind, x) - ts[walking]
+            walking &= wrong * f[end] > 0.0
+    for message in failed:
+        if message is not None:
+            raise BracketFailure(message)
+    return ends["lo"], ends["hi"], f["lo"], f["hi"]
+
+
+def _bisect_all(source, kind, ts, lo, hi, flo, fhi) -> np.ndarray:
+    """Bisect every bracket in lockstep; each t stops as a lone bisection would."""
+    alpha = np.where(flo == 0.0, lo, hi)
+    lo_below = flo < 0.0
+    active = (flo != 0.0) & (fhi != 0.0)
+    midpoint_root = np.zeros(ts.size, dtype=bool)
+    bisected = active.copy()
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(mid)):
+        idx = np.flatnonzero(active)
+        if not idx.size:
             break
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[idx] + hi[idx])
+        sides = _sides(source, kind, mid, ts[idx])
+        root = sides == 0.0
+        up = ~root & ((sides < 0.0) == lo_below[idx])
+        down = ~(root | up)
+        lo[idx[up]] = mid[up]
+        hi[idx[down]] = mid[down]
+        alpha[idx[root]] = mid[root]
+        midpoint_root[idx[root]] = True
+        converged = hi[idx] - lo[idx] <= 1e-15 * np.maximum(1.0, np.abs(mid))
+        active[idx[root | converged]] = False
+    last = bisected & ~midpoint_root
+    alpha[last] = 0.5 * (lo[last] + hi[last])
+    return alpha
 
 
 def alpha_for_entropy(
@@ -82,84 +199,15 @@ def alpha_for_entropy(
     The tilted entropy decreases strictly from log|alphabet| to 0 as |alpha|
     grows, so the root is unique per branch.
     """
-    validate(source)
-    log_k = math.log(len(source.alphabet))
-    if not 0.0 < t < log_k:
-        raise OutOfRange(f"t={t} outside (0, {log_k})")
-
-    def f(a: float) -> float:
-        return entropy(tilt(source, a)) - t
-
-    if branch == "positive":
-        lo, hi = 1e-6, 1.0
-        flo, fhi = f(lo), f(hi)
-        while flo < 0.0:  # root closer to 0 than the bracket start
-            hi, fhi = lo, flo
-            lo /= 2.0
-            if lo < 1e-14:
-                raise BracketFailure("t is too close to log|alphabet|")
-            flo = f(lo)
-        while fhi > 0.0:
-            lo, flo = hi, fhi
-            hi *= 2.0
-            if hi > ALPHA_CAP:
-                raise BracketFailure("t is too close to 0")
-            fhi = f(hi)
-        return _bisect(f, lo, hi, flo, fhi)
-    if branch == "negative":
-        lo, hi = -1.0, -1e-6
-        flo, fhi = f(lo), f(hi)
-        while fhi < 0.0:
-            lo, flo = hi, fhi
-            hi /= 2.0
-            if hi > -1e-14:
-                raise BracketFailure("t is too close to log|alphabet|")
-            fhi = f(hi)
-        while flo > 0.0:
-            hi, fhi = lo, flo
-            lo *= 2.0
-            if lo < -ALPHA_CAP:
-                raise BracketFailure("t is too close to 0")
-            flo = f(lo)
-        return _bisect(f, lo, hi, flo, fhi)
-    raise ValueError(f"unknown branch {branch!r}")
+    kind = {"positive": "forward_g", "negative": "reverse_r"}.get(branch)
+    if kind is None:
+        raise ValueError(f"unknown branch {branch!r}")
+    return float(_solve(source, kind, np.array([t], dtype=np.float64))[0])
 
 
 def alpha_for_cross_entropy(source: CategoricalSource, t: float) -> float:
     """The (unique) tilt order whose cross entropy against the source equals t."""
-    validate(source)
-    rng = cross_entropy_range(source)
-    if not rng.t_minus < t < rng.t_plus:
-        raise OutOfRange(f"t={t} outside ({rng.t_minus}, {rng.t_plus})")
-
-    def f(a: float) -> float:
-        return cross_entropy(tilt(source, a), source) - t
-
-    lo, hi = -1.0, 1.0
-    flo, fhi = f(lo), f(hi)
-    while fhi > 0.0:  # f is strictly decreasing in alpha
-        lo, flo = hi, fhi
-        hi *= 2.0
-        if hi > ALPHA_CAP:
-            raise BracketFailure("t is too close to the min-cross entropy")
-        fhi = f(hi)
-    while flo < 0.0:
-        hi, fhi = lo, flo
-        lo *= 2.0
-        if lo < -ALPHA_CAP:
-            raise BracketFailure("t is too close to the max-cross entropy")
-        flo = f(lo)
-    return _bisect(f, lo, hi, flo, fhi)
-
-
-def _solve_alpha(source: CategoricalSource, t: float, kind: str) -> float:
-    if kind == "forward_g":
-        return alpha_for_entropy(source, t, "positive")
-    if kind == "reverse_r":
-        return alpha_for_entropy(source, t, "negative")
-    if kind == "information_i":
-        return alpha_for_cross_entropy(source, t)
-    raise ValueError(f"unknown curve kind {kind!r}")
+    return float(_solve(source, "information_i", np.array([t], dtype=np.float64))[0])
 
 
 def _domain(source: CategoricalSource, kind: str) -> tuple[float, float]:
@@ -193,8 +241,7 @@ def _rate(source: CategoricalSource, t: float, kind: str) -> float:
         return _endpoint_value(source, kind, at_lower=True)
     if t >= hi - ENDPOINT_CLAMP:
         return _endpoint_value(source, kind, at_lower=False)
-    alpha = _solve_alpha(source, t, kind)
-    return relative_entropy(tilt(source, alpha), source)
+    return float(rate_points(source, kind, [t]).rate[0])
 
 
 def rate_g(source: CategoricalSource, t: float) -> float:
@@ -212,21 +259,6 @@ def rate_i(source: CategoricalSource, t: float) -> float:
     return _rate(source, t, "information_i")
 
 
-def _derivatives_at_alpha(
-    source: CategoricalSource, alpha: float, kind: str
-) -> tuple[float, float]:
-    tilted = tilt(source, alpha)
-    if kind == "information_i":
-        d1 = 1.0 - alpha
-        # alpha^2 / V(tilt) written through the cross varentropy, which stays
-        # finite and continuous through alpha = 0
-        d2 = 1.0 / cross_varentropy(tilted, source)
-        return d1, d2
-    d1 = (1.0 - alpha) / alpha
-    d2 = 1.0 / (alpha * varentropy(tilted))
-    return d1, d2
-
-
 def rate_derivatives(source: CategoricalSource, t: float, kind: str) -> tuple[float, float]:
     """(dJ/dt, d2J/dt2) of the requested rate curve at an interior point."""
     validate(source)
@@ -234,8 +266,8 @@ def rate_derivatives(source: CategoricalSource, t: float, kind: str) -> tuple[fl
     if not lo < t < hi:
         raise OutOfRange(f"t={t} not interior to ({lo}, {hi})")
     t = min(max(t, lo + ENDPOINT_CLAMP), hi - ENDPOINT_CLAMP)
-    alpha = _solve_alpha(source, t, kind)
-    return _derivatives_at_alpha(source, alpha, kind)
+    curve = rate_points(source, kind, [t])
+    return float(curve.d_rate[0]), float(curve.d2_rate[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,22 +293,41 @@ class RateCurve:
             )
 
 
+def rate_points(source: CategoricalSource, kind: str, ts) -> RateCurve:
+    """The rate curve and its first two t-derivatives at every level in `ts`.
+
+    Every t must lie inside the open domain of the curve, (0, log|alphabet|)
+    for the guesswork kinds and (t_minus, t_plus) for information; no
+    endpoint clamp applies.  All t are solved together.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown curve kind {kind!r}")
+    ts = np.array(ts, dtype=np.float64)
+    if ts.ndim != 1:
+        raise ValueError("ts must be one-dimensional")
+    alphas = _solve(source, kind, ts)
+    rates = np.empty(ts.size)
+    d1 = np.empty(ts.size)
+    d2 = np.empty(ts.size)
+    for i, a in enumerate(alphas.tolist()):
+        tilted = tilt(source, a)
+        rates[i] = relative_entropy(tilted, source)
+        if kind == "information_i":
+            d1[i] = 1.0 - a
+            # alpha^2 / V(tilt) written through the cross varentropy, which
+            # stays finite and continuous through alpha = 0
+            d2[i] = 1.0 / cross_varentropy(tilted, source)
+        else:
+            d1[i] = (1.0 - a) / a
+            d2[i] = 1.0 / (a * varentropy(tilted))
+    return RateCurve(kind=kind, alpha=alphas, t=ts, rate=rates, d_rate=d1, d2_rate=d2)
+
+
 def rate_curve(source: CategoricalSource, kind: str, n_samples: int = 201) -> RateCurve:
     """Sample the rate curve on a uniform interior grid of t."""
     if kind not in KINDS:
         raise ValueError(f"unknown curve kind {kind!r}")
     if n_samples < 3:
         raise ValueError("need at least 3 samples")
-    validate(source)
     lo, hi = _domain(source, kind)
-    ts = lo + (hi - lo) * np.arange(1, n_samples + 1) / (n_samples + 1)
-    alphas = np.empty(n_samples)
-    rates = np.empty(n_samples)
-    d1 = np.empty(n_samples)
-    d2 = np.empty(n_samples)
-    for i, t in enumerate(ts):
-        a = _solve_alpha(source, float(t), kind)
-        alphas[i] = a
-        rates[i] = relative_entropy(tilt(source, a), source)
-        d1[i], d2[i] = _derivatives_at_alpha(source, a, kind)
-    return RateCurve(kind=kind, alpha=alphas, t=ts, rate=rates, d_rate=d1, d2_rate=d2)
+    return rate_points(source, kind, lo + (hi - lo) * np.arange(1, n_samples + 1) / (n_samples + 1))

@@ -171,6 +171,10 @@ def tilt(source: CategoricalSource, alpha: float) -> CategoricalSource:
         return source
     if alpha == 0.0:
         return uniform(source.alphabet)
+    if alpha < 0.0 and not np.all(source.theta > 0.0):
+        raise BoundaryViolation(
+            f"tilt order {alpha} < 0 needs full support: some symbol probability is 0"
+        )
     lt = alpha * source.log_theta
     lt = lt - log_sum_exp(lt)
     return CategoricalSource(source.alphabet, np.exp(lt))

@@ -271,15 +271,17 @@ def _check_curve(s, kind: str, failures: list[str], label: str) -> None:
         if violation > CONVEXITY_TOL:
             failures.append(f"{label}/{kind}: convexity violated by {violation:.3e}")
     delta = 1e-4
-    rate_fn = {"forward_g": rt.rate_g, "reverse_r": rt.rate_r, "information_i": rt.rate_i}[kind]
+    inner = curve.t[1:-1]
+    shifted = rt.rate_points(s, kind, np.concatenate([inner - delta, inner + delta]))
+    below = shifted.rate[: inner.size].tolist()
+    above = shifted.rate[inner.size :].tolist()
+    rates = curve.rate.tolist()
     for i in range(1, curve.t.size - 1):
         t = float(curve.t[i])
-        fd1 = (rate_fn(s, t + delta) - rate_fn(s, t - delta)) / (2.0 * delta)
+        fd1 = (above[i - 1] - below[i - 1]) / (2.0 * delta)
         if _rel_err(fd1, float(curve.d_rate[i])) > SLOPE_RTOL:
             failures.append(f"{label}/{kind}: slope mismatch at t={t:.4f}")
-        fd2 = (
-            rate_fn(s, t + delta) - 2.0 * rate_fn(s, t) + rate_fn(s, t - delta)
-        ) / (delta * delta)
+        fd2 = (above[i - 1] - 2.0 * rates[i] + below[i - 1]) / (delta * delta)
         if _rel_err(fd2, float(curve.d2_rate[i])) > CURVATURE_RTOL:
             failures.append(f"{label}/{kind}: curvature mismatch at t={t:.4f}")
 
@@ -398,10 +400,11 @@ def check_ldp_corridor() -> CheckResult:
     norm_log_rank = np.log(table.rank_of.astype(np.float64)) / n
     failures: list[str] = []
     details = []
-    for t in (0.4, 0.7, 1.0):
+    ts = (0.4, 0.7, 1.0)
+    references = rt.rate_points(s3, "forward_g", ts).rate.tolist()
+    for t, reference in zip(ts, references):
         p = float(probs[np.abs(norm_log_rank - t) < eps].sum())
         empirical = -math.log(p) / n
-        reference = rt.rate_g(s3, t)
         details.append(f"t={t}: {empirical:.4f} vs J={reference:.4f}")
         if abs(empirical - reference) > CORRIDOR_TOL:
             failures.append(f"t={t}: |{empirical:.4f} - {reference:.4f}| > {CORRIDOR_TOL}")

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tiltlab as tl
+from tiltlab import guesswork as gw
 from tiltlab.errors import BudgetExceeded, UnknownString
 from tiltlab.guesswork import TIE_TOL_PER_SYMBOL, guesswork, reverse_guesswork
 
@@ -91,6 +92,20 @@ class TestRankTable:
         rows = list(tl.build_rank_table(s2, 2).records())
         assert rows[0] == ("bb", pytest.approx(math.log(0.64)), 1, 4)
         assert [g for _, _, g, _ in rows] == [1, 2, 3, 4]
+
+    def test_records_decode_across_chunks(self, monkeypatch):
+        source = tl.CategoricalSource(tl.Alphabet(("x", "yy", "zzz")), [0.2, 0.3, 0.5])
+        table = tl.build_rank_table(source, 5)
+        strings = ["".join(w) for w in itertools.product(source.alphabet.symbols, repeat=5)]
+        expected = [
+            (strings[i], float(table.log_probs[i]), r, table.size + 1 - r)
+            for r, i in enumerate(table.order.tolist(), start=1)
+        ]
+        monkeypatch.setattr(gw, "_RECORDS_CHUNK", 7)  # 243 rows: 34 full chunks and 5 left
+        rows = list(table.records())
+        assert rows == expected
+        assert {tuple(map(type, row)) for row in rows} == {(str, float, int, int)}
+        assert [table.string_at(i) for i in range(table.size)] == strings
 
 
 class TestGuessworkPmf:

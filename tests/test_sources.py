@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,18 @@ class TestTilt:
         assert np.max(np.abs(near_uniform.theta - 1 / 3)) < 1e-8
         point_mass = tl.tilt(s3, 300.0)
         assert point_mass.theta[2] > 1.0 - 1e-12  # piles onto the likeliest symbol
+
+    def test_negative_order_needs_full_support(self):
+        source = tl.CategoricalSource(tl.letters(3), [0.0, 0.4, 0.6])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BoundaryViolation, match="full support"):
+                tl.tilt(source, -1.0)
+            with pytest.raises(BoundaryViolation, match="full support"):
+                tl.reverse(source)
+            np.testing.assert_allclose(
+                tl.tilt(source, 2.0).theta, [0.0, 16 / 52, 36 / 52], rtol=0, atol=1e-15
+            )
 
 
 @settings(max_examples=60, deadline=None)
