@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 import tiltlab as tl
+from tiltlab.guesswork import corridor_mass
 
 
 def main() -> None:
@@ -20,14 +21,13 @@ def main() -> None:
 
     source = tl.load_source(tl.builtin_spec_path("s3"))
     table = tl.build_rank_table(source, args.n)
-    probs = np.exp(table.log_probs)
-    norm_log_rank = np.log(table.rank_of.astype(float)) / args.n
 
     print(f"n={args.n} eps={args.epsilon}")
     print(f"{'t':>6} {'empirical':>12} {'J(t)':>12} {'diff':>9}")
     ts = np.arange(0.1, math.log(3), 0.1)
-    for t, rate in zip(ts, tl.rate_points(source, "forward_g", ts).rate.tolist()):
-        p = float(probs[np.abs(norm_log_rank - t) < args.epsilon].sum())
+    masses = corridor_mass(table, ts, args.epsilon)
+    rates = tl.rate_points(source, "forward_g", ts).rate.tolist()
+    for t, p, rate in zip(ts, masses, rates):
         empirical = -math.log(p) / args.n if p > 0 else math.inf
         print(f"{t:6.2f} {empirical:12.4f} {rate:12.4f} {empirical - rate:9.4f}")
 

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateVariance, NegativeVariance
-from .measures import entropy, varentropy
+from .measures import cross_entropy, entropy, varentropy
 from .numeric import log_sum_exp
 from .sources import (
     DEFAULT_BUDGET,
@@ -187,7 +187,7 @@ def approx_pmf_curve(
         alpha = float(alpha)
         if iid:
             tilted = tilt(source, alpha)
-            level = -n * float(np.dot(tilted.theta, source.log_theta))
+            level = cross_entropy(tilted, source, n)
             h = entropy(tilted, n)
             v = varentropy(tilted, n)
         else:

@@ -170,17 +170,17 @@ def build_rank_table(
     return RankTable(source=source, n=n, log_probs=logp, order=order, rank_of=rank_of)
 
 
-def guesswork(table: RankTable, x) -> int:
-    return table.guesswork(x)
-
-
-def reverse_guesswork(table: RankTable, x) -> int:
-    return table.reverse_guesswork(x)
-
-
 def guesswork_pmf(table: RankTable) -> np.ndarray:
     """Exact PMF of guesswork: entry r-1 is the probability of the rank-r string."""
     return table.pmf()
+
+
+def corridor_mass(table: RankTable, ts, epsilon: float) -> list[float]:
+    """P{|log G / n - t| < epsilon} for each t: the exact probability of the
+    strings whose normalized log-guesswork lies strictly inside the corridor."""
+    probs = np.exp(table.log_probs)
+    norm_log_rank = np.log(table.rank_of.astype(np.float64)) / table.n
+    return [float(probs[np.abs(norm_log_rank - t) < epsilon].sum()) for t in ts]
 
 
 # ---------------------------------------------------------------------------
@@ -311,60 +311,12 @@ def typical_set(
 
     probs = np.exp(logp)
     prob_a = float(probs[a_mask].sum())
+    size_a = int(a_idx.size)
 
-    bounds = _bound_ledger(
-        table=table,
-        alpha=alpha,
-        eps=eps,
-        n=n,
-        level=level,
-        h_tilt=h_tilt,
-        vx=vx,
-        dn=dn,
-        logp=logp,
-        probs=probs,
-        a_mask=a_mask,
-        b_mask=b_mask,
-        d_mask=d_mask,
-        e_mask=e_mask,
-        prob_a=prob_a,
-    )
-
-    return SetReport(
-        spec=spec,
-        a_members=a_idx,
-        b_members=b_idx,
-        d_members=np.flatnonzero(d_mask),
-        e_members=np.flatnonzero(e_mask),
-        probability=prob_a,
-        size=int(a_idx.size),
-        bounds=tuple(bounds),
-        table=table,
-    )
-
-
-def _bound_ledger(
-    *,
-    table: RankTable,
-    alpha: float,
-    eps: float,
-    n: int,
-    level: float,
-    h_tilt: float,
-    vx: float,
-    dn: float,
-    logp: np.ndarray,
-    probs: np.ndarray,
-    a_mask: np.ndarray,
-    b_mask: np.ndarray,
-    d_mask: np.ndarray,
-    e_mask: np.ndarray,
-    prob_a: float,
-) -> list[BoundCheck]:
+    # the bound ledger
     checks: list[BoundCheck] = []
     cheby = 1.0 - vx / (n * n * eps * eps)
     abs_alpha = abs(alpha)
-    size_a = int(np.count_nonzero(a_mask))
     a_empty = size_a == 0
 
     # membership window (log domain, strict on both sides)
@@ -472,7 +424,18 @@ def _bound_ledger(
             vacuous=not outside_e.any(),
         )
     )
-    return checks
+
+    return SetReport(
+        spec=spec,
+        a_members=a_idx,
+        b_members=b_idx,
+        d_members=np.flatnonzero(d_mask),
+        e_members=np.flatnonzero(e_mask),
+        probability=prob_a,
+        size=size_a,
+        bounds=tuple(checks),
+        table=table,
+    )
 
 
 def bound_ledger(

@@ -29,22 +29,15 @@ def information(source: SequenceSource, x) -> float:
 
 
 def entropy(source: CategoricalSource, n: int = 1) -> float:
-    """n times the per-symbol Shannon entropy."""
-    theta = source.theta
-    support = theta > 0
-    h1 = -float(np.dot(theta[support], source.log_theta[support]))
-    return n * h1
+    """n times the per-symbol Shannon entropy: the source's cross entropy
+    against itself."""
+    return n * cross_entropy(source, source)
 
 
 def varentropy(source: CategoricalSource, n: int = 1) -> float:
-    """n times the per-symbol variance of -log theta."""
-    theta = source.theta
-    support = theta > 0
-    p = theta[support]
-    lp = source.log_theta[support]
-    h1 = -float(np.dot(p, lp))
-    v1 = float(np.dot(p, (lp + h1) ** 2))
-    return n * v1
+    """n times the per-symbol variance of -log theta: the source's cross
+    varentropy against itself."""
+    return n * cross_varentropy(source, source)
 
 
 def cross_entropy(rho: CategoricalSource, mu: CategoricalSource, n: int = 1) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, OutOfRange
+from .errors import BracketFailure, DegenerateVariance, OutOfRange
 from .measures import (
     cross_entropy,
     cross_varentropy,
@@ -218,18 +218,14 @@ def _domain(source: CategoricalSource, kind: str) -> tuple[float, float]:
 
 
 def _endpoint_value(source: CategoricalSource, kind: str, at_lower: bool) -> float:
-    if kind == "forward_g":
-        # left end: point mass on the most likely symbol; right end: uniform
-        if at_lower:
-            return -math.log(source.max_prob)
-        return relative_entropy(uniform(source.alphabet), source)
-    if kind == "reverse_r":
-        if at_lower:
-            return -math.log(source.min_prob)
-        return relative_entropy(uniform(source.alphabet), source)
+    # lower end: point mass on the most likely symbol (least likely for
+    # reverse_r); upper end: the uniform source, or for information the
+    # point mass on the least likely symbol
     if at_lower:
-        return -math.log(source.max_prob)
-    return -math.log(source.min_prob)
+        return -math.log(source.min_prob if kind == "reverse_r" else source.max_prob)
+    if kind == "information_i":
+        return -math.log(source.min_prob)
+    return relative_entropy(uniform(source.alphabet), source)
 
 
 def _rate(source: CategoricalSource, t: float, kind: str) -> float:
@@ -316,10 +312,15 @@ def rate_points(source: CategoricalSource, kind: str, ts) -> RateCurve:
             d1[i] = 1.0 - a
             # alpha^2 / V(tilt) written through the cross varentropy, which
             # stays finite and continuous through alpha = 0
-            d2[i] = 1.0 / cross_varentropy(tilted, source)
+            inv_d2 = cross_varentropy(tilted, source)
         else:
             d1[i] = (1.0 - a) / a
-            d2[i] = 1.0 / (a * varentropy(tilted))
+            inv_d2 = a * varentropy(tilted)
+        if inv_d2 == 0.0:
+            raise DegenerateVariance(
+                f"t={float(ts[i])}: tilted varentropy is numerically zero; d2J/dt2 is undefined"
+            )
+        d2[i] = 1.0 / inv_d2
     return RateCurve(kind=kind, alpha=alphas, t=ts, rate=rates, d_rate=d1, d2_rate=d2)
 
 

@@ -74,9 +74,6 @@ class Alphabet:
             raise ValueError("empty string")
         return np.array([self.index(t) for t in tokens], dtype=np.int64)
 
-    def decode(self, indices: Sequence[int]) -> str:
-        return "".join(self.symbols[int(i)] for i in indices)
-
 
 def letters(k: int) -> Alphabet:
     """Convenience alphabet 'a', 'b', ... of size k."""
@@ -436,28 +433,28 @@ def _type_classes(source: CategoricalSource, n: int) -> tuple[np.ndarray, np.nda
 # Source spec files
 # ---------------------------------------------------------------------------
 
-def _normalized_vector(values, what: str) -> np.ndarray:
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)) or np.any(v < 0):
-        raise SourceSpecError(f"{what} must be a list of non-negative decimals")
-    s = float(v.sum())
-    if abs(s - 1.0) > ASSUMPTION_TOL:
-        raise SourceSpecError(
-            f"{what} sums to {s!r}; more than {ASSUMPTION_TOL} away from 1"
-        )
-    return v / s
+def _normalized(values, what: str, ndim: int) -> np.ndarray:
+    """A spec vector (ndim 1) or matrix of rows (ndim 2), each row within
+    ASSUMPTION_TOL of summing to 1, renormalized; SourceSpecError otherwise."""
+    try:
+        rows = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged rows, non-numeric entries
+        raise SourceSpecError(f"{what} must be an array of decimals: {exc}") from None
+    if rows.ndim != ndim:
+        raise SourceSpecError(f"{what} must be a {ndim}-dimensional array of decimals")
+    try:
+        rows = _check_stochastic(rows, what)
+    except NotNormalized as exc:
+        raise SourceSpecError(str(exc)) from None
+    return rows / rows.sum(axis=-1, keepdims=True)
 
 
-def _normalized_rows(values, what: str) -> np.ndarray:
-    m = np.asarray(values, dtype=np.float64)
-    if m.ndim != 2 or not np.all(np.isfinite(m)) or np.any(m < 0):
-        raise SourceSpecError(f"{what} must be a matrix of non-negative decimals")
-    sums = m.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > ASSUMPTION_TOL):
-        raise SourceSpecError(
-            f"{what} has a row more than {ASSUMPTION_TOL} away from summing to 1"
-        )
-    return m / sums[:, None]
+def _initial(spec: dict, transition: np.ndarray) -> tuple[np.ndarray, str]:
+    """The spec's start distribution and its mode; stationary by default."""
+    initial = spec.get("initial", "stationary")
+    if initial == "stationary":
+        return stationary_distribution(transition), "stationary"
+    return _normalized(initial, "initial", 1), "explicit"
 
 
 def source_from_dict(spec: dict) -> SequenceSource:
@@ -477,42 +474,30 @@ def source_from_dict(spec: dict) -> SequenceSource:
         raise SourceSpecError("source spec is missing 'alphabet'") from None
 
     if kind == "categorical":
-        probs = _normalized_vector(spec.get("probs"), "probs")
+        probs = _normalized(spec.get("probs"), "probs", 1)
         if probs.size != len(alphabet):
             raise SourceSpecError("probs length must match the alphabet")
         return CategoricalSource(alphabet, probs)
 
     if kind == "markov":
-        transition = _normalized_rows(spec.get("transition"), "transition")
+        transition = _normalized(spec.get("transition"), "transition", 2)
         k = len(alphabet)
         if transition.shape != (k, k):
             raise SourceSpecError("transition must be |alphabet| square")
-        initial_spec = spec.get("initial", "stationary")
-        if initial_spec == "stationary":
-            initial = stationary_distribution(transition)
-            mode = "stationary"
-        else:
-            initial = _normalized_vector(initial_spec, "initial")
-            mode = "explicit"
+        initial, mode = _initial(spec, transition)
         return MarkovSource(alphabet, transition, initial, initial_mode=mode)
 
     if kind == "hmm":
-        transition = _normalized_rows(spec.get("transition"), "transition")
+        transition = _normalized(spec.get("transition"), "transition", 2)
         n_states = transition.shape[0]
         if transition.shape != (n_states, n_states):
             raise SourceSpecError("hidden transition must be square")
         if "states" in spec and int(spec["states"]) != n_states:
             raise SourceSpecError("'states' disagrees with the transition matrix")
-        emission = _normalized_rows(spec.get("emission"), "emission")
+        emission = _normalized(spec.get("emission"), "emission", 2)
         if emission.shape != (n_states, len(alphabet)):
             raise SourceSpecError("emission must be states x symbols")
-        initial_spec = spec.get("initial", "stationary")
-        if initial_spec == "stationary":
-            initial = stationary_distribution(transition)
-            mode = "stationary"
-        else:
-            initial = _normalized_vector(initial_spec, "initial")
-            mode = "explicit"
+        initial, mode = _initial(spec, transition)
         return HiddenMarkovSource(alphabet, transition, emission, initial, initial_mode=mode)
 
     raise SourceSpecError(f"unknown source kind {kind!r}")

@@ -332,17 +332,13 @@ def _stitched_log_rank_error(source, n: int, budget: int = src.DEFAULT_BUDGET) -
     points = ax.approx_pmf_curve(source, n, budget=budget)
     sorted_logp = table.log_probs[table.order]
     groups = table.tie_groups()
-    n_groups = int(groups[-1])
-    first = np.full(n_groups + 1, np.iinfo(np.int64).max, dtype=np.int64)
-    last = np.zeros(n_groups + 1, dtype=np.int64)
-    positions = np.arange(1, table.size + 1, dtype=np.int64)
-    np.minimum.at(first, groups, positions)
-    np.maximum.at(last, groups, positions)
     ranks = np.arange(8, table.size - 8 + 1)
     interp = ax.interpolated_log_rank(points, sorted_logp[ranks - 1])
+    # tie groups are contiguous runs of ranks: a group's first and last rank
+    # bound its run in the non-decreasing `groups`
     gid = groups[ranks - 1]
-    below = np.log(first[gid]) - interp
-    above = interp - np.log(last[gid])
+    below = np.log(np.searchsorted(groups, gid, side="left") + 1) - interp
+    above = interp - np.log(np.searchsorted(groups, gid, side="right"))
     return float(np.max(np.maximum(0.0, np.maximum(below, above))))
 
 
@@ -396,14 +392,12 @@ def check_ldp_corridor() -> CheckResult:
     s3 = _shipped("s3")
     n, eps = 10, 0.1
     table = gw.build_rank_table(s3, n)
-    probs = np.exp(table.log_probs)
-    norm_log_rank = np.log(table.rank_of.astype(np.float64)) / n
     failures: list[str] = []
     details = []
     ts = (0.4, 0.7, 1.0)
+    masses = gw.corridor_mass(table, ts, eps)
     references = rt.rate_points(s3, "forward_g", ts).rate.tolist()
-    for t, reference in zip(ts, references):
-        p = float(probs[np.abs(norm_log_rank - t) < eps].sum())
+    for t, p, reference in zip(ts, masses, references):
         empirical = -math.log(p) / n
         details.append(f"t={t}: {empirical:.4f} vs J={reference:.4f}")
         if abs(empirical - reference) > CORRIDOR_TOL:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import tiltlab as tl
 from tiltlab import guesswork as gw
 from tiltlab.errors import BudgetExceeded, UnknownString
-from tiltlab.guesswork import TIE_TOL_PER_SYMBOL, guesswork, reverse_guesswork
+from tiltlab.guesswork import TIE_TOL_PER_SYMBOL
 
 from conftest import categorical_sources
 
@@ -66,8 +66,8 @@ class TestRankTable:
 
     def test_rank_functions(self, s2):
         table = tl.build_rank_table(s2, 2)
-        assert guesswork(table, "bb") == 1
-        assert reverse_guesswork(table, "aa") == 1
+        assert table.guesswork("bb") == 1
+        assert table.reverse_guesswork("aa") == 1
         assert table.log_guesswork("bb") == 0.0
         assert table.log_reverse_guesswork("bb") == math.log(4)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import tiltlab as tl
 from tiltlab import cli
 from tiltlab import rates as rt
-from tiltlab.errors import BracketFailure, OutOfRange
+from tiltlab.errors import BracketFailure, DegenerateVariance, OutOfRange
 
 import reference_rates as ref
 from conftest import categorical_sources
@@ -35,9 +35,20 @@ def outcome(fn, *args):
     """Float results as int64 bits, rows as they are, or the error's type and message."""
     try:
         value = fn(*args)
+    except DegenerateVariance:  # the message names t; the reference's cannot
+        return DegenerateVariance
     except Exception as exc:  # compared with the reference's, not handled
         return type(exc), str(exc)
     return value if isinstance(value, list) else as_bits(value)
+
+
+def reference_outcome(fn, *args):
+    """outcome() of the reference solver, whose d2 divides by a zero tilted
+    varentropy where the library raises DegenerateVariance instead."""
+    expected = outcome(fn, *args)
+    if expected == (ZeroDivisionError, "float division by zero"):
+        return DegenerateVariance
+    return expected
 
 
 def row_bits(rows):
@@ -77,7 +88,7 @@ def test_random_grids_match_reference(source, kind, fractions, near_lo, near_hi)
     ts = [lo + near_lo, *(lo + f * (hi - lo) for f in fractions), hi - near_hi]
     ts = [t for t in ts if lo < t < hi]
     assume(ts)
-    expected = outcome(reference_rows, source, kind, ts)
+    expected = reference_outcome(reference_rows, source, kind, ts)
     assert outcome(lockstep_rows, source, kind, ts) == expected
 
 
@@ -94,7 +105,7 @@ def test_rate_functions_at_and_near_the_clamps(name, kind):
         hi - 1e-7, hi - 2 * clamp, hi - clamp, hi, hi + 1e-12, hi + 2e-12,
     ]
     for t in ts:
-        assert outcome(lockstep, source, t) == outcome(reference, source, t), t
+        assert outcome(lockstep, source, t) == reference_outcome(reference, source, t), t
 
 
 @pytest.mark.parametrize("name", ["s2", "s3"])
@@ -104,7 +115,7 @@ def test_rate_derivatives_match_reference(name, kind):
     lo, hi = rt._domain(source, kind)
     for t in (lo, lo + 1e-9, lo + 1e-6, lo + 0.3 * (hi - lo), hi - 1e-6, hi - 1e-9, hi):
         got = outcome(rt.rate_derivatives, source, t, kind)
-        assert got == outcome(ref.rate_derivatives, source, t, kind), t
+        assert got == reference_outcome(ref.rate_derivatives, source, t, kind), t
 
 
 @pytest.mark.parametrize("name", ["s2", "s3"])
@@ -114,11 +125,12 @@ def test_alpha_solvers_match_reference(name):
     for t in (-0.1, 0.0, 1e-7, 0.3, 0.6, log_k - 1e-7, log_k - 1e-15, log_k, 2.0):
         for branch in ("positive", "negative"):
             got = outcome(rt.alpha_for_entropy, source, t, branch)
-            assert got == outcome(ref.alpha_for_entropy, source, t, branch), (t, branch)
+            expected = reference_outcome(ref.alpha_for_entropy, source, t, branch)
+            assert got == expected, (t, branch)
     rng = rt.cross_entropy_range(source)
     for t in (rng.t_minus, rng.t_minus + 1e-7, 0.7, tl.entropy(source), rng.t_plus - 1e-7):
         got = outcome(rt.alpha_for_cross_entropy, source, t)
-        assert got == outcome(ref.alpha_for_cross_entropy, source, t), t
+        assert got == reference_outcome(ref.alpha_for_cross_entropy, source, t), t
 
 
 @pytest.mark.parametrize("alpha", [1e-6, 1.0, 2.0, 1.5, 0.5, -1e-6, -1.0, -2.0, -1.5, 0.0])
@@ -127,7 +139,7 @@ def test_levels_hit_exactly_at_ladder_points_and_midpoints(s3, alpha):
     # midpoint ends the solve there, with a zero difference
     for kind in rt.KINDS:
         t = rt._exact_level(s3, kind, alpha)
-        expected = outcome(reference_rows, s3, kind, [t])
+        expected = reference_outcome(reference_rows, s3, kind, [t])
         assert outcome(lockstep_rows, s3, kind, [t]) == expected
 
 
@@ -152,7 +164,7 @@ T_MINUS, T_PLUS = -math.log(0.4 + 1e-9), -math.log(0.1 - 1e-9)
     ],
 )
 def test_first_failing_t_raises_as_the_reference_does(kind, ts, error):
-    expected = outcome(reference_rows, NEAR_TIES, kind, ts)
+    expected = reference_outcome(reference_rows, NEAR_TIES, kind, ts)
     assert expected[0] in (BracketFailure, OutOfRange) and error in expected[1]
     assert outcome(lockstep_rows, NEAR_TIES, kind, ts) == expected
 
@@ -203,3 +215,19 @@ def test_fast_levels_stay_far_inside_the_guard(source, extra_alphas):
         exact = np.array([rt._exact_level(source, kind, float(a)) for a in alphas])
         margin = rt.LEVEL_GUARD / 16 * np.maximum(1.0, np.abs(exact))
         assert np.all(np.abs(fast - exact) <= margin)
+
+
+@pytest.mark.parametrize("kind", ["forward_g", "reverse_r"])
+def test_zero_tilted_varentropy_raises_degenerate_variance(s2, kind):
+    # at t = 5e-324 the root's tilt is a point mass to within float precision
+    with pytest.raises(DegenerateVariance, match="t=5e-324"):
+        rt.rate_points(s2, kind, [0.3, 5e-324])
+    assert reference_outcome(reference_rows, s2, kind, [0.3, 5e-324]) is DegenerateVariance
+
+
+@pytest.mark.parametrize("kind", ["g", "r"])
+def test_cli_zero_tilted_varentropy_exits_1_with_one_line(capsys, kind):
+    path = str(tl.builtin_spec_path("s2"))
+    assert cli.main(["rate", "--source", path, "--kind", kind, "--t-grid", "5e-324"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tiltlab: t=5e-324: ") and err.count("\n") == 1
