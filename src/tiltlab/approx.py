@@ -19,13 +19,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateVariance, NegativeVariance
+from .errors import DegenerateVariance, NegativeVariance, OutOfRange
 from .measures import cross_entropy, entropy, varentropy
-from .numeric import log_sum_exp
+from .numeric import _exp_or_inf, log_sum_exp
 from .sources import (
     DEFAULT_BUDGET,
     CategoricalSource,
     SequenceSource,
+    _require_length,
     enumerate_word_log_probs,
     tilt,
     validate,
@@ -45,6 +46,7 @@ def word_measures(
     source: SequenceSource, n: int, budget: int = DEFAULT_BUDGET
 ) -> WordMeasures:
     """Word-level measures: n-scaled for i.i.d., enumerated otherwise."""
+    _require_length(n)
     if isinstance(source, CategoricalSource):
         return WordMeasures(n, entropy(source, n), varentropy(source, n))
     logp = enumerate_word_log_probs(source, n, budget)
@@ -61,12 +63,13 @@ def approx_rank(entropy_nats: float, varentropy_nats2: float) -> float:
 
     At zero varentropy the denominator is exactly 2, so the value reduces
     bit-exactly to e^entropy / 2 (half the effective number of strings).
+    An entropy beyond the float range gives inf.
     """
     if varentropy_nats2 < 0:
         raise NegativeVariance(f"varentropy {varentropy_nats2} is negative")
     half_pi_v = 0.5 * math.pi * varentropy_nats2
     denominator = math.sqrt(half_pi_v) + math.sqrt(half_pi_v + 4.0)
-    return math.exp(entropy_nats) / denominator
+    return _exp_or_inf(entropy_nats) / denominator
 
 
 def approx_guesswork(
@@ -105,7 +108,7 @@ def approx_set_size(
     if v <= 1e-12:
         raise DegenerateVariance("tilted varentropy is numerically zero")
     a = abs(alpha) * n * epsilon
-    return (1.0 - math.exp(-2.0 * a)) / math.sqrt(2.0 * math.pi * v) * math.exp(h + a)
+    return (1.0 - math.exp(-2.0 * a)) / math.sqrt(2.0 * math.pi * v) * _exp_or_inf(h + a)
 
 
 @dataclass(frozen=True)
@@ -172,8 +175,12 @@ def approx_pmf_curve(
         raise ValueError("alpha grid must exclude 0")
     if not (np.any(grid > 0) and np.any(grid < 0)):
         raise ValueError("alpha grid must cover both signs")
+    _require_length(n)
     k = len(source.alphabet)
-    total = float(k) ** n
+    try:
+        total = float(k) ** n
+    except OverflowError:
+        raise OutOfRange(f"{k}^{n} strings exceed the float range") from None
 
     iid = isinstance(source, CategoricalSource)
     if iid:

@@ -128,6 +128,7 @@ def _cmd_tilt(args) -> int:
 def _cmd_measures(args) -> int:
     source = _categorical(src.load_source(args.source))
     src.validate(source)
+    src._require_length(args.n)
     tilted = src.tilt(source, args.alpha)
     bundle = ms.measure_bundle(tilted, source, args.n)
     payload = bundle.as_dict()

@@ -8,6 +8,7 @@ the finite-n probability / size / rank bounds those sets satisfy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -20,11 +21,12 @@ from .measures import (
     entropy,
     relative_entropy,
 )
-from .numeric import log_sum_exp
+from .numeric import _exp_or_inf, log_sum_exp
 from .sources import (
     DEFAULT_BUDGET,
     CategoricalSource,
     SequenceSource,
+    _require_length,
     _word_levels,
     tilt,
     validate,
@@ -201,8 +203,7 @@ class TypicalSetSpec:
             raise ValueError("alpha must be non-zero")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _require_length(self.n)
 
 
 @dataclass(frozen=True)
@@ -263,14 +264,14 @@ class SetReport:
         return all(b.passed for b in self.bounds)
 
 
-def _min_over(values: np.ndarray, mask: np.ndarray) -> float:
-    sel = values[mask]
-    return float(sel.min()) if sel.size else math.inf
-
-
-def _max_over(values: np.ndarray, mask: np.ndarray) -> float:
-    sel = values[mask]
-    return float(sel.max()) if sel.size else -math.inf
+def _bound_over(bound_id: str, values: np.ndarray, holds, rhs: float, vacuous=False) -> BoundCheck:
+    """`holds(extreme, rhs)` for the min of `values` (lower bound, `>`) or the
+    max (upper bound, `<` or `<=`); over an empty set, a vacuous pass."""
+    lower = holds is operator.gt
+    if values.size == 0:
+        return BoundCheck(bound_id, math.inf if lower else -math.inf, rhs, True, vacuous=True)
+    lhs = float(values.min() if lower else values.max())
+    return BoundCheck(bound_id, lhs, rhs, holds(lhs, rhs), vacuous)
 
 
 def typical_set(
@@ -279,7 +280,8 @@ def typical_set(
     budget: int = DEFAULT_BUDGET,
     table: Optional[RankTable] = None,
 ) -> SetReport:
-    """Build the typical set of the requested order and evaluate its bounds."""
+    """Build the typical set of the requested order and evaluate its bounds;
+    an upper threshold beyond the float range is inf, so its bounds pass."""
     validate(source)
     n, alpha, eps = spec.n, spec.alpha, spec.epsilon
     if table is None:
@@ -295,9 +297,9 @@ def typical_set(
     # tilted word log-probs share the type-class bit pattern of logp
     tilted_logp = alpha * logp - n * log_sum_exp(alpha * source.log_theta)
 
-    half_width = n * eps
-    a_mask = (logp > -level - half_width) & (logp < -level + half_width)
-    tilted_width = n * abs(alpha) * eps
+    logp_lo, logp_hi = -level - n * eps, -level + n * eps
+    a_mask = (logp > logp_lo) & (logp < logp_hi)
+    tilted_width = abs(alpha) * n * eps
     d_mask = tilted_logp > -h_tilt - tilted_width
     e_mask = tilted_logp < -h_tilt + tilted_width
 
@@ -306,124 +308,58 @@ def typical_set(
     # boundary ties resolved lexicographically.
     a_by_tilted = a_idx[np.lexsort((a_idx, tilted_logp[a_idx]))]
     b_idx = np.sort(a_by_tilted[: a_idx.size // 2])
-    b_mask = np.zeros(logp.size, dtype=bool)
-    b_mask[b_idx] = True
 
     probs = np.exp(logp)
     prob_a = float(probs[a_mask].sum())
-    size_a = int(a_idx.size)
-
-    # the bound ledger
-    checks: list[BoundCheck] = []
-    cheby = 1.0 - vx / (n * n * eps * eps)
-    abs_alpha = abs(alpha)
-    a_empty = size_a == 0
-
-    # membership window (log domain, strict on both sides)
-    checks.append(
-        BoundCheck(
-            "member_logprob_lower",
-            lhs=_min_over(logp, a_mask),
-            rhs=-level - n * eps,
-            passed=a_empty or _min_over(logp, a_mask) > -level - n * eps,
-            vacuous=a_empty,
-        )
-    )
-    checks.append(
-        BoundCheck(
-            "member_logprob_upper",
-            lhs=_max_over(logp, a_mask),
-            rhs=-level + n * eps,
-            passed=a_empty or _max_over(logp, a_mask) < -level + n * eps,
-            vacuous=a_empty,
-        )
-    )
-
-    # set size window
-    size_lo = cheby * math.exp(h_tilt - abs_alpha * n * eps)
-    size_hi = math.exp(h_tilt + abs_alpha * n * eps)
-    checks.append(
-        BoundCheck("set_size_lower", size_a, size_lo, size_a > size_lo, vacuous=cheby <= 0)
-    )
-    checks.append(BoundCheck("set_size_upper", size_a, size_hi, size_a < size_hi))
-
-    # probability bounds; the relaxed set that inherits them depends on alpha
     prob_d = float(probs[d_mask].sum())
     prob_e = float(probs[e_mask].sum())
+    size_a = int(a_idx.size)
+
+    # the size and rank bounds share their thresholds; a lower bound is
+    # vacuous where the Chebyshev factor is not positive
+    cheby = 1.0 - vx / (n * n * eps * eps)
+    weak = cheby <= 0
+    size_lo = cheby * math.exp(h_tilt - tilted_width)
+    size_hi = _exp_or_inf(h_tilt + tilted_width)
     decay = abs(1.0 - alpha) * n * eps
     prob_lo = cheby * math.exp(-dn - decay)
-    prob_hi = math.exp(-dn + decay)
-    checks.append(
-        BoundCheck("set_prob_lower", prob_a, prob_lo, prob_a > prob_lo, vacuous=cheby <= 0)
-    )
+    prob_hi = _exp_or_inf(-dn + decay)
+
+    checks = [
+        # membership window (log domain, strict on both sides)
+        _bound_over("member_logprob_lower", logp[a_idx], operator.gt, logp_lo),
+        _bound_over("member_logprob_upper", logp[a_idx], operator.lt, logp_hi),
+        BoundCheck("set_size_lower", size_a, size_lo, size_a > size_lo, vacuous=weak),
+        BoundCheck("set_size_upper", size_a, size_hi, size_a < size_hi),
+        BoundCheck("set_prob_lower", prob_a, prob_lo, prob_a > prob_lo, vacuous=weak),
+    ]
+    # the relaxed set that inherits the probability bounds depends on alpha
     if alpha < 0 or alpha >= 1:
-        checks.append(BoundCheck("inner_prob_geq_set", prob_d, prob_a, prob_d >= prob_a))
-        checks.append(BoundCheck("inner_prob_upper", prob_d, prob_hi, prob_d <= prob_hi))
-        checks.append(
-            BoundCheck("outer_prob_cover", prob_e, 1.0 - prob_hi, prob_e >= 1.0 - prob_hi)
-        )
+        checks += [
+            BoundCheck("inner_prob_geq_set", prob_d, prob_a, prob_d >= prob_a),
+            BoundCheck("inner_prob_upper", prob_d, prob_hi, prob_d <= prob_hi),
+            BoundCheck("outer_prob_cover", prob_e, 1.0 - prob_hi, prob_e >= 1.0 - prob_hi),
+        ]
     if 0 < alpha <= 1:
-        checks.append(BoundCheck("outer_prob_geq_set", prob_e, prob_a, prob_e >= prob_a))
-        checks.append(BoundCheck("outer_prob_upper", prob_e, prob_hi, prob_e <= prob_hi))
-        checks.append(
-            BoundCheck("inner_prob_cover", prob_d, 1.0 - prob_hi, prob_d >= 1.0 - prob_hi)
-        )
+        checks += [
+            BoundCheck("outer_prob_geq_set", prob_e, prob_a, prob_e >= prob_a),
+            BoundCheck("outer_prob_upper", prob_e, prob_hi, prob_e <= prob_hi),
+            BoundCheck("inner_prob_cover", prob_d, 1.0 - prob_hi, prob_d >= 1.0 - prob_hi),
+        ]
 
     # rank implications: forward rank for positive orders, reverse for negative
     if alpha > 0:
-        rank = table.rank_of.astype(np.float64)
-        tag = "guesswork"
+        rank, tag = table.rank_of, "guesswork"
     else:
-        rank = (table.size + 1 - table.rank_of).astype(np.float64)
-        tag = "reverse_guesswork"
-    rank_lo = cheby * math.exp(h_tilt - abs_alpha * n * eps)
-    rank_hi = math.exp(h_tilt + abs_alpha * n * eps)
-
-    b_empty = not b_mask.any()
-    min_rank_b = _min_over(rank, b_mask)
-    checks.append(
-        BoundCheck(
-            f"median_{tag}_lower",
-            min_rank_b,
-            0.5 * rank_lo,
-            b_empty or min_rank_b > 0.5 * rank_lo,
-            vacuous=b_empty or cheby <= 0,
-        )
-    )
-    max_rank_d = _max_over(rank, d_mask)
-    checks.append(
-        BoundCheck(
-            f"inner_{tag}_upper",
-            max_rank_d,
-            rank_hi,
-            (not d_mask.any()) or max_rank_d <= rank_hi,
-            vacuous=not d_mask.any(),
-        )
-    )
-    # contrapositive of "rank below threshold puts the string in the inner set"
-    outside_d = ~d_mask
-    min_rank_outside = _min_over(rank, outside_d)
-    checks.append(
-        BoundCheck(
-            f"small_{tag}_in_inner",
-            min_rank_outside,
-            rank_lo,
-            (not outside_d.any()) or min_rank_outside > rank_lo,
-            vacuous=(not outside_d.any()) or cheby <= 0,
-        )
-    )
-    # contrapositive of "rank above threshold puts the string in the outer set"
-    outside_e = ~e_mask
-    max_rank_outside = _max_over(rank, outside_e)
-    checks.append(
-        BoundCheck(
-            f"large_{tag}_in_outer",
-            max_rank_outside,
-            rank_hi,
-            (not outside_e.any()) or max_rank_outside <= rank_hi,
-            vacuous=not outside_e.any(),
-        )
-    )
+        rank, tag = table.size + 1 - table.rank_of, "reverse_guesswork"
+    checks += [
+        _bound_over(f"median_{tag}_lower", rank[b_idx], operator.gt, 0.5 * size_lo, weak),
+        _bound_over(f"inner_{tag}_upper", rank[d_mask], operator.le, size_hi),
+        # contrapositive of "rank below threshold puts the string in the inner set"
+        _bound_over(f"small_{tag}_in_inner", rank[~d_mask], operator.gt, size_lo, weak),
+        # contrapositive of "rank above threshold puts the string in the outer set"
+        _bound_over(f"large_{tag}_in_outer", rank[~e_mask], operator.le, size_hi),
+    ]
 
     return SetReport(
         spec=spec,

@@ -1,6 +1,8 @@
 """Small numerically-stable helpers used throughout the library."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -11,3 +13,11 @@ def log_sum_exp(values: np.ndarray) -> float:
     if not np.isfinite(m):
         return m
     return m + float(np.log(np.sum(np.exp(values - m))))
+
+
+def _exp_or_inf(x: float) -> float:
+    """math.exp(x), or inf where that overflows the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf

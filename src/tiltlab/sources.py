@@ -311,6 +311,12 @@ def _hmm_log_prob(source: HiddenMarkovSource, idx: np.ndarray) -> float:
     return lp + float(np.log(total))
 
 
+def _require_length(n: int) -> None:
+    """The one rule for a string length: n >= 1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+
+
 def require_budget(alphabet_size: int, n: int, budget: int) -> None:
     if alphabet_size**n > budget:
         raise BudgetExceeded(
@@ -345,8 +351,7 @@ def _word_levels(
     `level_of` is None.  The budget is checked before anything is allocated.
     """
     k = len(source.alphabet)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_length(n)
     require_budget(k, n, budget)
 
     if isinstance(source, CategoricalSource):
@@ -452,7 +457,7 @@ def _normalized(values, what: str, ndim: int) -> np.ndarray:
 def _initial(spec: dict, transition: np.ndarray) -> tuple[np.ndarray, str]:
     """The spec's start distribution and its mode; stationary by default."""
     initial = spec.get("initial", "stationary")
-    if initial == "stationary":
+    if isinstance(initial, str) and initial == "stationary":
         return stationary_distribution(transition), "stationary"
     return _normalized(initial, "initial", 1), "explicit"
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tiltlab as tl
-from tiltlab.errors import DegenerateVariance, NegativeVariance
+from tiltlab.errors import DegenerateVariance, NegativeVariance, OutOfRange
 
 # frozen: closed-form rank at the untilted level of the binary source, n=8
 G_S2_N8 = 11.483056163001106
@@ -33,6 +33,11 @@ class TestApproxRank:
     def test_negative_varentropy_rejected(self):
         with pytest.raises(NegativeVariance):
             tl.approx_rank(1.0, -1e-9)
+
+    def test_entropy_beyond_the_float_range_gives_inf(self):
+        assert tl.approx_rank(800.0, 1.0) == math.inf
+        # the largest finite e^h keeps its bits
+        assert tl.approx_rank(709.78, 0.0) == math.exp(709.78) / 2.0
 
 
 class TestApproxGuesswork:
@@ -68,6 +73,12 @@ class TestWordMeasures:
     def test_hmm_word_entropy(self, s3_hmm):
         assert tl.word_measures(s3_hmm, 1).entropy == pytest.approx(H1_HMM, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_rejected(self, s2, s3_markov, n):
+        for source in (s2, s3_markov):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                tl.word_measures(source, n)
+
     def test_markov_matches_enumeration_against_iid_wrapping(self, s3_markov):
         wm = tl.word_measures(s3_markov, 6)
         logp = tl.enumerate_word_log_probs(s3_markov, 6)
@@ -97,6 +108,15 @@ class TestApproxSetSize:
 
     def test_positive_for_negative_orders(self, s3):
         assert tl.approx_set_size(s3, -1.0, 0.1, 8) > 0.0
+
+    def test_size_beyond_the_float_range_is_inf(self, s3):
+        assert tl.approx_set_size(s3, 5.0, 1.0, 200) == math.inf
+        finite = tl.approx_set_size(s3, 5.0, 1.0, 100)
+        tilted = tl.tilt(s3, 5.0)
+        v = tl.varentropy(tilted, 100)
+        a = 5.0 * 100 * 1.0
+        expected = (1.0 - math.exp(-2.0 * a)) / math.sqrt(2.0 * math.pi * v)
+        assert finite == expected * math.exp(tl.entropy(tilted, 100) + a)
 
     def test_degenerate_variance_rejected(self, s3):
         tilted_to_nothing = tl.CategoricalSource(tl.letters(2), [0.5, 0.5])
@@ -155,6 +175,15 @@ class TestApproxPmfCurve:
             assert p.tilted_varentropy_nats2 == pytest.approx(
                 p.alpha**2 * tl.cross_varentropy(tilted, s2, 8), abs=1e-10
             )
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_rejected(self, s2, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            tl.approx_pmf_curve(s2, n)
+
+    def test_string_count_beyond_the_float_range(self, s2):
+        with pytest.raises(OutOfRange, match=r"2\^1100 strings"):
+            tl.approx_pmf_curve(s2, 1100)
 
     def test_non_iid_needs_budget(self, s3_hmm):
         with pytest.raises(Exception):

@@ -94,6 +94,13 @@ class TestMeasuresCommand:
             "--out", str(tmp_path / "m.json"),
         ) == 2
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_n_below_one_exits_2(self, capsys, s2_path, n):
+        assert run("measures", "--source", s2_path, "--n", n) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "tiltlab: config error: n must be >= 1\n"
+
 
 class TestTypicalCommand:
     def test_members_and_bounds(self, tmp_path, s3_path):
@@ -141,6 +148,10 @@ class TestApproxCommand:
         assert overlay[1] == "series,rank,probability"
         series = {line.split(",")[0] for line in overlay[2:]}
         assert series == {"exact", "forward", "reverse"}
+
+    def test_string_count_beyond_the_float_range_exits_1(self, capsys, s2_path):
+        assert run("approx", "--source", s2_path, "--n", "1100") == 1
+        assert capsys.readouterr().err == "tiltlab: 2^1100 strings exceed the float range\n"
 
 
 class TestVerifyCommand:

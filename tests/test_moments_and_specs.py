@@ -120,6 +120,8 @@ MALFORMED = {
     "markov initial off by 1e-9": {**MARKOV, "initial": [0.5, 0.5 + 1e-9]},
     "hmm initial off by 1e-9": {**HMM, "initial": [0.5, 0.5 + 1e-9]},
     "hmm initial matrix": {**HMM, "initial": [[0.5, 0.5]]},
+    "markov initial unknown string": {**MARKOV, "initial": "uniform"},
+    "hmm initial unknown string": {**HMM, "initial": "Stationary"},
 }
 
 
@@ -142,3 +144,13 @@ def test_explicit_initial_within_slack_is_renormalized(spec):
     source = tl.source_from_dict({**spec, "initial": [0.25, 0.75 + 9e-13]})
     assert source.initial_mode == "explicit"
     assert as_bits(source.initial) == as_bits(ref._normalized_vector([0.25, 0.75 + 9e-13], "i"))
+
+
+@pytest.mark.parametrize("spec", [MARKOV, HMM], ids=["markov", "hmm"])
+def test_numpy_initial_matches_the_list_form(spec):
+    listed = tl.source_from_dict({**spec, "initial": [0.25, 0.75]})
+    arrayed = tl.source_from_dict({**spec, "initial": np.array([0.25, 0.75])})
+    assert arrayed.initial_mode == listed.initial_mode == "explicit"
+    for field in ("transition", "emission", "initial"):
+        if hasattr(listed, field):
+            assert as_bits(getattr(arrayed, field)) == as_bits(getattr(listed, field))
