@@ -87,7 +87,10 @@ def approx_guesswork(
     if branch == "reverse":
         if alphabet_size is None:
             raise ValueError("reverse branch needs alphabet_size")
-        return alphabet_size**measures.n + 1 - r
+        try:
+            return alphabet_size**measures.n + 1 - r
+        except OverflowError:
+            raise _beyond_float_range(alphabet_size, measures.n) from None
     raise ValueError(f"unknown branch {branch!r}")
 
 
@@ -101,6 +104,8 @@ def approx_set_size(
     """
     if alpha == 0:
         raise ValueError("alpha must be non-zero")
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
     validate(source)
     tilted = tilt(source, alpha)
     h = entropy(tilted, n)
@@ -140,34 +145,15 @@ def default_alpha_grid(
     return np.concatenate([-mags[::-1], mags])
 
 
-def _tilted_word_stats(logp: np.ndarray, alpha: float) -> tuple[float, float, float]:
-    """(cross-entropy level, entropy, varentropy) of the alpha-tilted word
-    distribution of an enumerated word log-prob vector."""
-    support = np.isfinite(logp)
-    if not support.all() and alpha < 0:
-        raise ValueError("negative tilt orders need a full-support word distribution")
-    base = logp[support]
-    w = alpha * base
-    w = w - log_sum_exp(w)
-    pw = np.exp(w)
-    level = float(np.dot(pw, -base))
-    h = float(np.dot(pw, -w))
-    v = float(np.dot(pw, (w + h) ** 2))
-    return level, h, v
+def _beyond_float_range(alphabet_size: int, n: int) -> OutOfRange:
+    return OutOfRange(f"{alphabet_size}^{n} strings exceed the float range")
 
 
-def approx_pmf_curve(
-    source: SequenceSource,
-    n: int,
-    alpha_grid: Optional[Sequence[float]] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> list[ApproxPoint]:
-    """Sweep tilt orders over both signs and stitch the two rank branches.
-
-    Returns points sorted by guesswork rank.  Ranks are clamped into
-    [1, |alphabet|^n]; i.i.d. sources need no enumeration, the others tilt
-    the enumerated word distribution directly.
-    """
+def _sweep_grid(
+    source: SequenceSource, n: int, alpha_grid: Optional[Sequence[float]] = None
+) -> tuple[np.ndarray, float]:
+    """The checked tilt-order grid of a sweep (the default when None) and the
+    string count |alphabet|^n; an i.i.d. source is validated too."""
     grid = np.asarray(
         default_alpha_grid() if alpha_grid is None else alpha_grid, dtype=np.float64
     )
@@ -180,25 +166,62 @@ def approx_pmf_curve(
     try:
         total = float(k) ** n
     except OverflowError:
-        raise OutOfRange(f"{k}^{n} strings exceed the float range") from None
-
-    iid = isinstance(source, CategoricalSource)
-    if iid:
+        raise _beyond_float_range(k, n) from None
+    if isinstance(source, CategoricalSource):
         validate(source)
-        logp = None
+    return grid, total
+
+
+def _tilted_iid_stats(source: CategoricalSource, n: int, grid: np.ndarray):
+    """(cross-entropy level, entropy, varentropy) of the length-n words of
+    each alpha-tilt of an i.i.d. source."""
+    for alpha in grid.tolist():
+        tilted = tilt(source, alpha)
+        yield cross_entropy(tilted, source, n), entropy(tilted, n), varentropy(tilted, n)
+
+
+def _tilted_word_stats(logp: np.ndarray, grid: np.ndarray):
+    """(cross-entropy level, entropy, varentropy) of each alpha-tilt of the
+    word distribution of an enumerated word log-prob vector."""
+    support = np.isfinite(logp)
+    full = bool(support.all())
+    if not full and np.any(grid < 0):
+        raise ValueError("negative tilt orders need a full-support word distribution")
+    base = logp if full else logp[support]
+    for alpha in grid.tolist():
+        w = alpha * base
+        w = w - log_sum_exp(w)
+        pw = np.exp(w)
+        level = float(np.dot(pw, -base))
+        h = float(np.dot(pw, -w))
+        v = float(np.dot(pw, (w + h) ** 2))
+        yield level, h, v
+
+
+def approx_pmf_curve(
+    source: SequenceSource,
+    n: int,
+    alpha_grid: Optional[Sequence[float]] = None,
+    budget: int = DEFAULT_BUDGET,
+    log_probs: Optional[np.ndarray] = None,
+) -> list[ApproxPoint]:
+    """Sweep tilt orders over both signs and stitch the two rank branches.
+
+    Returns points sorted by guesswork rank.  Ranks are clamped into
+    [1, |alphabet|^n]; i.i.d. sources need no enumeration, the others tilt
+    the enumerated word distribution directly.  A caller that has enumerated
+    the words already (`RankTable.log_probs`) passes them as `log_probs`.
+    """
+    grid, total = _sweep_grid(source, n, alpha_grid)
+    if isinstance(source, CategoricalSource):
+        stats = _tilted_iid_stats(source, n, grid)
     else:
-        logp = enumerate_word_log_probs(source, n, budget)
+        if log_probs is None:
+            log_probs = enumerate_word_log_probs(source, n, budget)
+        stats = _tilted_word_stats(log_probs, grid)
 
     points = []
-    for alpha in grid:
-        alpha = float(alpha)
-        if iid:
-            tilted = tilt(source, alpha)
-            level = cross_entropy(tilted, source, n)
-            h = entropy(tilted, n)
-            v = varentropy(tilted, n)
-        else:
-            level, h, v = _tilted_word_stats(logp, alpha)
+    for alpha, (level, h, v) in zip(grid.tolist(), stats):
         raw = approx_rank(h, v)
         raw = min(max(raw, 1.0), total)
         if alpha > 0:

@@ -12,6 +12,8 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import nullcontext
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -43,16 +45,63 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path, header, rows, meta: dict) -> None:
+#: rows formatted and written at a time
+_CSV_BLOCK = 1 << 16
+
+
+class _Strings:
+    """The length-n strings of a rank table at given lexicographic indices,
+    decoded a slice at a time."""
+
+    def __init__(self, table: gw.RankTable, lex_indices: np.ndarray):
+        self.symbols = table.source.alphabet.symbols
+        self.n = table.n
+        self.lex_indices = lex_indices
+
+    def __len__(self) -> int:
+        return len(self.lex_indices)
+
+    def __getitem__(self, rows: slice) -> list[str]:
+        return gw._decode_strings(self.symbols, self.n, self.lex_indices[rows])
+
+
+def _column_texts(column):
+    """(row count, function giving the CSV texts of rows start:stop) of a column.
+
+    A float array is formatted with repr once per distinct bit pattern (so
+    -0.0, nan and subnormals keep their text) and gathered per row; any other
+    array is formatted with str; `_Strings` are decoded; a list goes through
+    `_fmt` value by value; a tuple is its parts one after another, each by
+    its own rule.
+    """
+    if isinstance(column, tuple):
+        sizes, texts = zip(*map(_column_texts, column))
+        parts = list(zip(texts, accumulate(sizes, initial=0)))
+        return sum(sizes), lambda start, stop: chain.from_iterable(
+            text(max(start - first, 0), max(stop - first, 0)) for text, first in parts
+        )
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        bits = column.astype(np.float64, copy=False).view(np.int64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        texts = np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+        return len(column), lambda start, stop: texts[inverse[start:stop]].tolist()
+    if isinstance(column, np.ndarray):
+        return len(column), lambda start, stop: map(str, column[start:stop].tolist())
+    if isinstance(column, _Strings):
+        return len(column), lambda start, stop: column[start:stop]
+    return len(column), lambda start, stop: map(_fmt, column[start:stop])
+
+
+def _write_csv(path, header, columns, meta: dict) -> None:
+    """Write equal-length columns as CSV rows below a '#' metadata line,
+    one block of rows at a time."""
+    sizes, texts = zip(*map(_column_texts, columns))
     meta_line = "# " + " ".join(f"{k}={v}" for k, v in meta.items())
-    lines = [meta_line, ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    with open(path, "w") if path is not None else nullcontext(sys.stdout) as out:
+        out.write(meta_line + "\n" + ",".join(header) + "\n")
+        for start in range(0, sizes[0], _CSV_BLOCK):
+            rows = zip(*(text(start, start + _CSV_BLOCK) for text in texts))
+            out.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _write_json(path, payload: dict) -> None:
@@ -120,8 +169,8 @@ def _cmd_tilt(args) -> int:
     grid = _parse_grid(args.alpha_grid)
     family = src.tilted_family_sample(source, grid)
     header = ["alpha"] + [f"theta_{s}" for s in source.alphabet.symbols]
-    rows = [[a] + list(t.theta) for a, t in zip(grid, family)]
-    _write_csv(args.out, header, rows, _source_meta(args))
+    thetas = np.array([t.theta for t in family]).reshape(grid.size, len(source.alphabet))
+    _write_csv(args.out, header, [grid, *thetas.T], _source_meta(args))
     return 0
 
 
@@ -143,10 +192,10 @@ def _cmd_guesswork(args) -> int:
     source = src.load_source(args.source)
     table = gw.build_rank_table(source, args.n, _resolve_budget(args))
     meta = _source_meta(args)
-    _write_csv(args.out, ["string", "logprob_nats", "G", "R"], table.records(), meta)
-    pmf = table.pmf()
-    pmf_rows = ((r + 1, p) for r, p in enumerate(pmf))
-    _write_csv(_sibling(args.out, "_pmf"), ["rank", "probability"], pmf_rows, meta)
+    g = np.arange(1, table.size + 1)
+    columns = [_Strings(table, table.order), table.log_probs[table.order], g, g[::-1]]
+    _write_csv(args.out, ["string", "logprob_nats", "G", "R"], columns, meta)
+    _write_csv(_sibling(args.out, "_pmf"), ["rank", "probability"], [g, table.pmf()], meta)
     return 0
 
 
@@ -156,16 +205,15 @@ def _cmd_typical(args) -> int:
     report = gw.typical_set(source, spec, budget=_resolve_budget(args))
     meta = _source_meta(args)
     meta.update(alpha=args.alpha, epsilon=args.epsilon)
-    member_rows = (
-        (name, member)
-        for name in ("A", "B", "D", "E")
-        for member in report.member_strings(name)
-    )
-    _write_csv(args.out, ["set_name", "member"], member_rows, meta)
-    bound_rows = ((b.bound_id, b.lhs, b.rhs, b.flag) for b in report.bounds)
-    _write_csv(
-        _sibling(args.out, "_bounds"), ["bound_id", "lhs", "rhs", "pass"], bound_rows, meta
-    )
+    names = ("A", "B", "D", "E")
+    members = [report.members(name) for name in names]
+    set_names = np.repeat(names, [m.size for m in members])
+    strings = _Strings(report.table, np.concatenate(members))
+    _write_csv(args.out, ["set_name", "member"], [set_names, strings], meta)
+    bounds = report.bounds
+    columns = [[b.bound_id for b in bounds], [b.lhs for b in bounds],
+               [b.rhs for b in bounds], [b.flag for b in bounds]]
+    _write_csv(_sibling(args.out, "_bounds"), ["bound_id", "lhs", "rhs", "pass"], columns, meta)
     return 0 if report.all_passed else 1
 
 
@@ -178,7 +226,9 @@ def _cmd_rate(args) -> int:
         curve = rt.rate_curve(source, kind, n_samples=args.samples)
     meta = _source_meta(args)
     meta["kind"] = args.kind
-    _write_csv(args.out, ["kind", "alpha", "t_nats", "J_nats", "dJdt", "d2Jdt2"], curve.rows(), meta)
+    columns = [[curve.kind] * curve.t.size, curve.alpha, curve.t, curve.rate, curve.d_rate,
+               curve.d2_rate]
+    _write_csv(args.out, ["kind", "alpha", "t_nats", "J_nats", "dJdt", "d2Jdt2"], columns, meta)
     return 0
 
 
@@ -186,26 +236,24 @@ def _cmd_approx(args) -> int:
     source = src.load_source(args.source)
     budget = _resolve_budget(args)
     grid = _parse_grid(args.alpha_grid) if args.alpha_grid else None
-    points = ax.approx_pmf_curve(source, args.n, alpha_grid=grid, budget=budget)
-    meta = _source_meta(args)
-    rows = (
-        (p.branch, p.alpha, p.level_nats, p.approx_rank, p.guesswork_rank, p.probability)
-        for p in points
-    )
-    _write_csv(
-        args.out,
-        ["branch", "alpha", "level_nats", "approx_rank", "guesswork_rank", "probability"],
-        rows,
-        meta,
-    )
-    # overlay: exact staircase plus the stitched approximation, long format
+    grid = ax._sweep_grid(source, args.n, grid)[0]  # input errors before enumerating
     table = gw.build_rank_table(source, args.n, budget)
-    pmf = table.pmf()
-    overlay = [("exact", r + 1, p) for r, p in enumerate(pmf)]
-    overlay.extend((p.branch, p.guesswork_rank, p.probability) for p in points)
-    _write_csv(
-        _sibling(args.out, "_overlay"), ["series", "rank", "probability"], overlay, meta
+    points = ax.approx_pmf_curve(
+        source, args.n, alpha_grid=grid, budget=budget, log_probs=table.log_probs
     )
+    meta = _source_meta(args)
+    fields = ("alpha", "level_nats", "approx_rank", "guesswork_rank", "probability")
+    curve = {f: np.array([getattr(p, f) for p in points]) for f in fields}
+    branches = [p.branch for p in points]
+    _write_csv(args.out, ["branch", *fields], [branches, *curve.values()], meta)
+    # overlay: exact staircase plus the stitched approximation, long format;
+    # exact ranks are ints and curve ranks floats, so they stay separate parts
+    columns = [
+        np.array(["exact"] * table.size + branches, dtype=object),
+        (np.arange(1, table.size + 1), curve["guesswork_rank"]),
+        np.concatenate([table.pmf(), curve["probability"]]),
+    ]
+    _write_csv(_sibling(args.out, "_overlay"), ["series", "rank", "probability"], columns, meta)
     return 0
 
 

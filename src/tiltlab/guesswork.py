@@ -317,7 +317,11 @@ def typical_set(
 
     # the size and rank bounds share their thresholds; a lower bound is
     # vacuous where the Chebyshev factor is not positive
-    cheby = 1.0 - vx / (n * n * eps * eps)
+    width2 = n * n * eps * eps
+    if width2 > 0:
+        cheby = 1.0 - vx / width2
+    else:  # the limit as the squared window width underflows to 0
+        cheby = -math.inf if vx > 0 else 1.0
     weak = cheby <= 0
     size_lo = cheby * math.exp(h_tilt - tilted_width)
     size_hi = _exp_or_inf(h_tilt + tilted_width)

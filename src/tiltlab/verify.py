@@ -329,7 +329,7 @@ def _stitched_log_rank_error(source, n: int, budget: int = src.DEFAULT_BUDGET) -
     |log k_approx - log k|.
     """
     table = gw.build_rank_table(source, n, budget)
-    points = ax.approx_pmf_curve(source, n, budget=budget)
+    points = ax.approx_pmf_curve(source, n, budget=budget, log_probs=table.log_probs)
     sorted_logp = table.log_probs[table.order]
     groups = table.tie_groups()
     ranks = np.arange(8, table.size - 8 + 1)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import tiltlab as tl
+from tiltlab.approx import _tilted_word_stats
 from tiltlab.errors import DegenerateVariance, NegativeVariance, OutOfRange
+from tiltlab.numeric import log_sum_exp
 
 # frozen: closed-form rank at the untilted level of the binary source, n=8
 G_S2_N8 = 11.483056163001106
@@ -57,6 +59,10 @@ class TestApproxGuesswork:
     def test_unknown_branch(self, s2):
         with pytest.raises(ValueError):
             tl.approx_guesswork(tl.word_measures(s2, 4), "sideways")
+
+    def test_reverse_string_count_beyond_the_float_range(self):
+        with pytest.raises(OutOfRange, match=r"2\^1100 strings exceed the float range"):
+            tl.approx_guesswork(tl.WordMeasures(1100, 10.0, 1.0), "reverse", 2)
 
 
 class TestWordMeasures:
@@ -117,6 +123,11 @@ class TestApproxSetSize:
         a = 5.0 * 100 * 1.0
         expected = (1.0 - math.exp(-2.0 * a)) / math.sqrt(2.0 * math.pi * v)
         assert finite == expected * math.exp(tl.entropy(tilted, 100) + a)
+
+    @pytest.mark.parametrize("epsilon", [-200.0, -0.01, 0.0, math.nan])
+    def test_epsilon_must_be_positive(self, s3, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            tl.approx_set_size(s3, 2.0, epsilon, 8)
 
     def test_degenerate_variance_rejected(self, s3):
         tilted_to_nothing = tl.CategoricalSource(tl.letters(2), [0.5, 0.5])
@@ -188,6 +199,59 @@ class TestApproxPmfCurve:
     def test_non_iid_needs_budget(self, s3_hmm):
         with pytest.raises(Exception):
             tl.approx_pmf_curve(s3_hmm, 20, budget=2**10)
+
+    @pytest.mark.parametrize("name", ["s3_markov", "s3_hmm"])
+    def test_given_log_probs_give_the_same_points(self, name, request):
+        source = request.getfixturevalue(name)
+        table = tl.build_rank_table(source, 7)
+        assert np.array_equal(table.log_probs, tl.enumerate_word_log_probs(source, 7))
+        given = tl.approx_pmf_curve(source, 7, log_probs=table.log_probs)
+        assert given == tl.approx_pmf_curve(source, 7)
+
+
+def tilted_word_stats_one_alpha(logp, alpha):
+    """The word-level sweep step as it was, with the support mask and the
+    supported copy rebuilt for every alpha."""
+    support = np.isfinite(logp)
+    if not support.all() and alpha < 0:
+        raise ValueError("negative tilt orders need a full-support word distribution")
+    base = logp[support]
+    w = alpha * base
+    w = w - log_sum_exp(w)
+    pw = np.exp(w)
+    level = float(np.dot(pw, -base))
+    h = float(np.dot(pw, -w))
+    v = float(np.dot(pw, (w + h) ** 2))
+    return level, h, v
+
+
+ZERO_TRANSITION = {
+    "kind": "markov",
+    "alphabet": ["a", "b", "c"],
+    "transition": [[0.5, 0.3, 0.2], [0.0, 0.6, 0.4], [0.3, 0.3, 0.4]],
+    "initial": [0.5, 0.3, 0.2],
+}
+
+
+class TestTiltedWordStats:
+    @pytest.mark.parametrize("name", ["s3_markov", "s3_hmm"])
+    def test_hoisted_sweep_keeps_every_bit(self, name, request):
+        logp = tl.enumerate_word_log_probs(request.getfixturevalue(name), 8)
+        grid = tl.default_alpha_grid()
+        swept = list(_tilted_word_stats(logp, grid))
+        assert swept == [tilted_word_stats_one_alpha(logp, a) for a in grid.tolist()]
+
+    def test_partial_support_keeps_every_bit(self):
+        logp = tl.enumerate_word_log_probs(tl.source_from_dict(ZERO_TRANSITION), 6)
+        assert not np.isfinite(logp).all()
+        grid = np.geomspace(0.01, 20.0, 31)
+        swept = list(_tilted_word_stats(logp, grid))
+        assert swept == [tilted_word_stats_one_alpha(logp, a) for a in grid.tolist()]
+
+    def test_partial_support_rejects_negative_orders(self):
+        source = tl.source_from_dict(ZERO_TRANSITION)
+        with pytest.raises(ValueError, match="full-support"):
+            tl.approx_pmf_curve(source, 4)
 
 
 class TestInterpolation:

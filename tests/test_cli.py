@@ -3,6 +3,7 @@ import json
 import pytest
 
 import tiltlab as tl
+from tiltlab import approx as ax
 from tiltlab.cli import main
 
 
@@ -118,6 +119,17 @@ class TestTypicalCommand:
         assert flags <= {"pass", "vacuous-pass"}
 
 
+    def test_window_width_underflow_exits_0(self, tmp_path, s2_path, capsys):
+        out = tmp_path / "typ.csv"
+        assert run(
+            "typical", "--source", s2_path, "--n", "2", "--alpha", "1",
+            "--epsilon", "1e-200", "--out", str(out),
+        ) == 0
+        assert capsys.readouterr().err == ""
+        bounds = (tmp_path / "typ_bounds.csv").read_text().splitlines()
+        assert "set_size_lower,0,-inf,vacuous-pass" in bounds
+
+
 class TestRateCommand:
     def test_curve_csv(self, tmp_path, s2_path):
         out = tmp_path / "rate.csv"
@@ -148,6 +160,16 @@ class TestApproxCommand:
         assert overlay[1] == "series,rank,probability"
         series = {line.split(",")[0] for line in overlay[2:]}
         assert series == {"exact", "forward", "reverse"}
+
+    @pytest.mark.parametrize("name", ["s3_markov", "s3_hmm"])
+    def test_words_enumerated_once(self, tmp_path, monkeypatch, name):
+        # the sweep takes the rank table's log-probs instead of enumerating again
+        def enumerate_again(*args, **kwargs):
+            raise AssertionError("words enumerated a second time")
+
+        monkeypatch.setattr(ax, "enumerate_word_log_probs", enumerate_again)
+        path = str(tl.builtin_spec_path(name))
+        assert run("approx", "--source", path, "--n", "5", "--out", str(tmp_path / "a.csv")) == 0
 
     def test_string_count_beyond_the_float_range_exits_1(self, capsys, s2_path):
         assert run("approx", "--source", s2_path, "--n", "1100") == 1

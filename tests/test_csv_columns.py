@@ -1,0 +1,178 @@
+"""The column-wise CSV writer against the row-wise reference writer, byte for byte."""
+import contextlib
+import io
+from itertools import chain
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import tiltlab as tl
+from tiltlab import cli
+
+import reference_csv as ref
+
+META = {"source_sha256": "0123456789abcdef", "tiltlab_version": tl.__version__, "n": 3}
+
+#: float64 values whose text is easy to get wrong: signed zeros and
+#: infinities, nan with other payloads and signs, subnormals, extremes
+SPECIAL_BITS = [
+    0x0000000000000000,  # 0.0
+    0x8000000000000000,  # -0.0
+    0x7FF0000000000000,  # inf
+    0xFFF0000000000000,  # -inf
+    0x7FF8000000000000,  # nan
+    0xFFF8000000000000,  # -nan
+    0x7FF0000000000001,  # signalling nan
+    0x7FF8DEADBEEF0000,  # nan with a payload
+    0x0000000000000001,  # 5e-324
+    0x8000000000000001,  # -5e-324
+    0x000FFFFFFFFFFFFF,  # largest subnormal
+    0x0010000000000000,  # smallest normal
+    0x7FEFFFFFFFFFFFFF,  # largest finite
+    0x3FF0000000000000,  # 1.0
+    0x3FB999999999999A,  # 0.1
+]
+SPECIALS = np.array(
+    [b - (1 << 64) if b >= 1 << 63 else b for b in SPECIAL_BITS], dtype=np.int64
+).view(np.float64)
+
+
+@st.composite
+def float_columns(draw, size):
+    """float64 columns drawn from a small pool, so that values repeat."""
+    pool = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(SPECIALS.tolist()),
+                st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    pool = np.array(pool, dtype=np.float64)
+    return pool[draw(hnp.arrays(np.intp, size, elements=st.integers(0, pool.size - 1)))]
+
+
+def int_columns(size):
+    return hnp.arrays(np.int64, size, elements=st.integers(-(2**63), 2**63 - 1))
+
+
+def str_lists(size):
+    text = st.text(st.characters(blacklist_characters=",\n\r"), max_size=6)
+    return st.lists(text, min_size=size, max_size=size)
+
+
+@st.composite
+def rank_columns(draw, size):
+    """The overlay's rank column: int exact ranks, then float curve ranks."""
+    exact = draw(st.integers(0, size))
+    ints = np.arange(1, exact + 1)
+    return (ints, draw(float_columns(size - exact)))
+
+
+@st.composite
+def tables(draw):
+    size = draw(st.integers(0, 40))
+    kinds = st.sampled_from([float_columns, int_columns, str_lists, rank_columns])
+    makers = draw(st.lists(kinds, min_size=1, max_size=5))
+    return [draw(make(size)) for make in makers]
+
+
+def reference_cells(column):
+    """The values the row-wise writer received for a column."""
+    if isinstance(column, tuple):
+        return list(chain(*(reference_cells(part) for part in column)))
+    return list(column)
+
+
+def written(write, *args) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        write(None, *args)
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(), st.integers(1, 9))
+def test_columns_match_the_row_writer(columns, block):
+    header = [f"c{i}" for i in range(len(columns))]
+    rows = zip(*(reference_cells(c) for c in columns))
+    expected = written(ref.write_csv, header, rows, META)
+    with mock.patch.object(cli, "_CSV_BLOCK", block):
+        got = written(cli._write_csv, header, columns, META)
+    assert got == expected
+
+
+def test_float_texts_keep_every_bit_pattern():
+    column = np.concatenate([SPECIALS, SPECIALS[::-1]])
+    got = written(cli._write_csv, ["x"], [column], META).splitlines()[2:]
+    assert got == [repr(float(x)) for x in column]
+    assert got[:10] == ["0.0", "-0.0", "inf", "-inf", "nan", "nan", "nan", "nan", "5e-324", "-5e-324"]
+
+
+def test_mixed_rank_column_keeps_int_and_float_text():
+    column = (np.arange(1, 4), np.array([3.0, 17.0]))
+    assert written(cli._write_csv, ["rank"], [column], META).splitlines()[2:] == [
+        "1", "2", "3", "3.0", "17.0"
+    ]
+
+
+def test_file_and_stdout_agree(tmp_path):
+    columns = [np.array([0.5, -0.0]), ["a", "b"]]
+    cli._write_csv(tmp_path / "x.csv", ["p", "s"], columns, META)
+    assert (tmp_path / "x.csv").read_text() == written(cli._write_csv, ["p", "s"], columns, META)
+
+
+def spec(name):
+    return str(tl.builtin_spec_path(name))
+
+
+CASES = [
+    ["tilt", "--source", spec("s3"), "--alpha-grid", "lin:-6:6:41"],
+    ["tilt", "--source", spec("s2"), "--alpha-grid", "log:0.01:20:9"],
+    ["tilt", "--source", spec("s3"), "--alpha-grid", "lin:0:1:0"],
+    ["guesswork", "--source", spec("s2"), "--n", "10"],
+    ["guesswork", "--source", spec("s3"), "--n", "7"],
+    ["guesswork", "--source", spec("s3_markov"), "--n", "6"],
+    ["guesswork", "--source", spec("s3_hmm"), "--n", "6"],
+    ["guesswork", "--source", spec("s77_sample"), "--n", "2"],
+    ["typical", "--source", spec("s3"), "--n", "8", "--alpha", "0.5", "--epsilon", "0.1"],
+    ["typical", "--source", spec("s2"), "--n", "10", "--alpha", "-2", "--epsilon", "0.05"],
+    ["typical", "--source", spec("s3"), "--n", "6", "--alpha", "1000", "--epsilon", "1"],
+    ["typical", "--source", spec("s2"), "--n", "4", "--alpha", "2", "--epsilon", "0.3"],
+    ["rate", "--source", spec("s2"), "--kind", "g", "--samples", "41"],
+    ["rate", "--source", spec("s3"), "--kind", "r", "--samples", "41"],
+    ["rate", "--source", spec("s3"), "--kind", "i", "--t-grid", "0.7,0.9,1.2,1.5"],
+    ["approx", "--source", spec("s2"), "--n", "8"],
+    ["approx", "--source", spec("s3"), "--n", "6"],
+    ["approx", "--source", spec("s3_markov"), "--n", "6"],
+    ["approx", "--source", spec("s3_hmm"), "--n", "6"],
+    ["approx", "--source", spec("s3_hmm"), "--n", "1"],
+    ["approx", "--source", spec("s3"), "--n", "5", "--alpha-grid=-0.5,0.5,2"],
+]
+
+
+@pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv).replace(spec("s2")[:-7], ""))
+def test_cli_matches_the_row_writer(tmp_path, argv):
+    (tmp_path / "new").mkdir()
+    (tmp_path / "old").mkdir()
+    assert cli.main(argv + ["--out", str(tmp_path / "new" / "out.csv")]) == ref.main(
+        argv + ["--out", str(tmp_path / "old" / "out.csv")]
+    )
+    old = sorted(p.name for p in (tmp_path / "old").iterdir())
+    assert sorted(p.name for p in (tmp_path / "new").iterdir()) == old
+    for name in old:
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+
+
+def test_cli_stdout_matches_the_row_writer(capsys):
+    argv = ["guesswork", "--source", spec("s3"), "--n", "4"]
+    assert cli.main(argv) == 0
+    got = capsys.readouterr().out
+    assert ref.main(argv) == 0
+    assert got == capsys.readouterr().out

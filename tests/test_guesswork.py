@@ -231,6 +231,17 @@ class TestBoundLedger:
         assert by_id["set_size_lower"].flag == "vacuous-pass"
         assert by_id["set_size_upper"].flag == "pass"
 
+    def test_window_width_underflow_takes_the_limit(self, s2):
+        # n*n*eps*eps underflows to 0: the Chebyshev factor is -inf, so every
+        # lower bound is a vacuous pass at -inf
+        report = tl.typical_set(s2, tl.TypicalSetSpec(1.0, 1e-200, 2))
+        by_id = {b.bound_id: b for b in report.bounds}
+        for bound_id in ("set_size_lower", "set_prob_lower", "small_guesswork_in_inner"):
+            assert by_id[bound_id].rhs == -math.inf
+            assert by_id[bound_id].flag == "vacuous-pass"
+        assert by_id["median_guesswork_lower"].rhs == -math.inf
+        assert report.all_passed and report.size == 0
+
     def test_both_regimes_reported_at_order_one(self, s3):
         ids = [b.bound_id for b in tl.bound_ledger(s3, tl.TypicalSetSpec(1.0, 0.2, 6))]
         assert "inner_prob_upper" in ids and "outer_prob_upper" in ids
