@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateVariance, NegativeVariance, OutOfRange
+from .guesswork import TypicalSetSpec
 from .measures import cross_entropy, entropy, varentropy
 from .numeric import _exp_or_inf, log_sum_exp
 from .sources import (
@@ -102,10 +103,7 @@ def approx_set_size(
     Uses |alpha| in the exponents so both tilt signs yield the positive
     window width the derivation integrates over.
     """
-    if alpha == 0:
-        raise ValueError("alpha must be non-zero")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    TypicalSetSpec(alpha, epsilon, n)  # the alpha != 0, epsilon > 0 and n >= 1 rules
     validate(source)
     tilted = tilt(source, alpha)
     h = entropy(tilted, n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -88,25 +88,17 @@ class CategoricalSource:
 
     alphabet: Alphabet
     theta: np.ndarray
+    log_theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        theta = np.array(self.theta, dtype=np.float64)
-        if theta.ndim != 1 or theta.size != len(self.alphabet):
-            raise SourceSpecError("need exactly one probability per symbol")
-        if not np.all(np.isfinite(theta)) or np.any(theta < 0):
-            raise SourceSpecError("probabilities must be finite and non-negative")
-        theta.setflags(write=False)
+        theta = _probabilities(
+            self.theta, "probs", (len(self.alphabet),), "have one entry per symbol"
+        )
+        with np.errstate(divide="ignore"):
+            log_theta = np.log(theta)
+        log_theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
-
-    @property
-    def log_theta(self) -> np.ndarray:
-        cached = self.__dict__.get("_log_theta")
-        if cached is None:
-            with np.errstate(divide="ignore"):
-                cached = np.log(self.theta)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_log_theta", cached)
-        return cached
+        object.__setattr__(self, "log_theta", log_theta)
 
     @property
     def min_prob(self) -> float:
@@ -192,6 +184,8 @@ def tilted_family_sample(
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     """Probability vector fixed by a row-stochastic matrix."""
     t = np.asarray(transition, dtype=np.float64)
+    if t.ndim != 2 or t.shape[0] != t.shape[1] or t.size == 0:
+        raise SourceSpecError(f"transition must be non-empty and square, not {t.shape}")
     k = t.shape[0]
     a = t.T - np.eye(k)
     a[-1, :] = 1.0
@@ -205,15 +199,33 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _check_stochastic(rows: np.ndarray, what: str) -> np.ndarray:
-    rows = np.array(rows, dtype=np.float64)
-    if not np.all(np.isfinite(rows)) or np.any(rows < 0):
+def _probabilities(values, what: str, shape: tuple[int, ...], rule: str) -> np.ndarray:
+    """`values` as a read-only float64 copy of the given shape, every entry
+    finite and non-negative; SourceSpecError naming `what` otherwise."""
+    array = np.array(values, dtype=np.float64)
+    if array.shape != shape:
+        raise SourceSpecError(f"{what} must {rule}: shape {shape}, not {array.shape}")
+    if not np.all(np.isfinite(array)) or np.any(array < 0):
         raise SourceSpecError(f"{what} entries must be finite and non-negative")
-    sums = rows.sum(axis=-1)
+    array.setflags(write=False)
+    return array
+
+
+def _row_sums(rows: np.ndarray, what: str, error: type = NotNormalized) -> np.ndarray:
+    """Each row's sum, as a column; `error` if one misses 1 by > ASSUMPTION_TOL."""
+    sums = rows.sum(axis=-1, keepdims=True)
     if np.any(np.abs(sums - 1.0) > ASSUMPTION_TOL):
-        raise NotNormalized(f"{what} rows must sum to 1 within {ASSUMPTION_TOL}")
-    rows.setflags(write=False)
-    return rows
+        raise error(f"{what} rows must sum to 1 within {ASSUMPTION_TOL}")
+    return sums
+
+
+def _check_chain(source, rules) -> None:
+    """Replace each (field, shape, rule) of a frozen chain source by its
+    checked, row-stochastic array."""
+    for name, shape, rule in rules:
+        rows = _probabilities(getattr(source, name), name, shape, rule)
+        _row_sums(rows, name)
+        object.__setattr__(source, name, rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,14 +242,10 @@ class MarkovSource:
 
     def __post_init__(self):
         k = len(self.alphabet)
-        transition = _check_stochastic(self.transition, "transition")
-        if transition.shape != (k, k):
-            raise SourceSpecError("transition matrix must be |alphabet| square")
-        initial = _check_stochastic(self.initial, "initial")
-        if initial.shape != (k,):
-            raise SourceSpecError("initial distribution must have one entry per symbol")
-        object.__setattr__(self, "transition", transition)
-        object.__setattr__(self, "initial", initial)
+        _check_chain(self, (
+            ("transition", (k, k), "be |alphabet| square"),
+            ("initial", (k,), "have one entry per symbol"),
+        ))
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,19 +259,12 @@ class HiddenMarkovSource:
     initial_mode: str = "explicit"
 
     def __post_init__(self):
-        transition = _check_stochastic(self.transition, "transition")
-        n_states = transition.shape[0]
-        if transition.shape != (n_states, n_states):
-            raise SourceSpecError("hidden transition matrix must be square")
-        emission = _check_stochastic(self.emission, "emission")
-        if emission.shape != (n_states, len(self.alphabet)):
-            raise SourceSpecError("emission matrix must be states x symbols")
-        initial = _check_stochastic(self.initial, "initial")
-        if initial.shape != (n_states,):
-            raise SourceSpecError("initial distribution must have one entry per state")
-        object.__setattr__(self, "transition", transition)
-        object.__setattr__(self, "emission", emission)
-        object.__setattr__(self, "initial", initial)
+        s = len(self.transition)
+        _check_chain(self, (
+            ("transition", (s, s), "be square (states x states)"),
+            ("emission", (s, len(self.alphabet)), "be states x symbols"),
+            ("initial", (s,), "have one entry per state"),
+        ))
 
     @property
     def n_states(self) -> int:
@@ -293,22 +294,31 @@ def string_log_prob(source: SequenceSource, x: Union[str, Sequence[str]]) -> flo
         for a, b in zip(idx[:-1], idx[1:]):
             lp += float(log_t[a, b])
         return lp
-    return _hmm_log_prob(source, idx)
+    return float(_hmm_forward(source, idx[:, None])[0])
 
 
-def _hmm_log_prob(source: HiddenMarkovSource, idx: np.ndarray) -> float:
-    forward = source.initial * source.emission[:, idx[0]]
-    lp = 0.0
-    for j in idx[1:]:
-        total = float(forward.sum())
-        if total <= 0.0:
-            return -np.inf
-        lp += np.log(total)
-        forward = (forward / total) @ source.transition * source.emission[:, j]
-    total = float(forward.sum())
-    if total <= 0.0:
-        return -np.inf
-    return lp + float(np.log(total))
+def _hmm_forward(source: HiddenMarkovSource, levels) -> np.ndarray:
+    """Scaled forward recursion: the log-prob of every word whose j-th symbol
+    runs over the emission rows `levels[j]` selects, in lexicographic order.
+
+    Each level propagates every prefix's normalized state vector (the start
+    distribution at the first level), multiplies in each selected emission
+    and adds the log of the sum.  A slice (all symbols) keeps `emission.T` a
+    column-major view, which sets the first level's summation order bit for bit.
+    """
+    emission_t = source.emission.T  # (symbols, states)
+    logp = np.zeros(1)
+    forward = None
+    for symbols in levels:
+        emit = emission_t[symbols]
+        prior = source.initial[None, :] if forward is None else forward @ source.transition
+        forward = (prior[:, None, :] * emit[None, :, :]).reshape(-1, source.n_states)
+        scale = forward.sum(axis=1)
+        safe = np.where(scale > 0, scale, 1.0)
+        with np.errstate(divide="ignore"):
+            logp = np.repeat(logp, len(emit)) + np.where(scale > 0, np.log(safe), -np.inf)
+        forward = forward / safe[:, None]
+    return logp
 
 
 def _require_length(n: int) -> None:
@@ -367,24 +377,7 @@ def _word_levels(
             cur = (cur[:, None] + log_t[last, :]).reshape(-1)
         return cur, cur, None
 
-    # hidden Markov: prefix-indexed scaled forward vectors
-    emission_t = source.emission.T  # (symbols, states)
-    forward = source.initial[None, :] * emission_t
-    scale = forward.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = np.where(scale > 0, np.log(np.where(scale > 0, scale, 1.0)), -np.inf)
-    forward = forward / np.where(scale > 0, scale, 1.0)[:, None]
-    for _ in range(n - 1):
-        propagated = forward @ source.transition  # (prefixes, states)
-        forward = (propagated[:, None, :] * emission_t[None, :, :]).reshape(
-            -1, source.n_states
-        )
-        logp = np.repeat(logp, k)
-        scale = forward.sum(axis=1)
-        safe = np.where(scale > 0, scale, 1.0)
-        with np.errstate(divide="ignore"):
-            logp = logp + np.where(scale > 0, np.log(safe), -np.inf)
-        forward = forward / safe[:, None]
+    logp = _hmm_forward(source, [slice(None)] * n)
     return logp, logp, None
 
 
@@ -439,71 +432,66 @@ def _type_classes(source: CategoricalSource, n: int) -> tuple[np.ndarray, np.nda
 # ---------------------------------------------------------------------------
 
 def _normalized(values, what: str, ndim: int) -> np.ndarray:
-    """A spec vector (ndim 1) or matrix of rows (ndim 2), each row within
-    ASSUMPTION_TOL of summing to 1, renormalized; SourceSpecError otherwise."""
+    """A spec vector (ndim 1) or matrix of rows (ndim 2), renormalized when each
+    row is within ASSUMPTION_TOL of summing to 1; SourceSpecError otherwise.
+    Shapes and entries are left to the source constructors."""
     try:
         rows = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # ragged rows, non-numeric entries
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged, non-numeric, huge
         raise SourceSpecError(f"{what} must be an array of decimals: {exc}") from None
-    if rows.ndim != ndim:
-        raise SourceSpecError(f"{what} must be a {ndim}-dimensional array of decimals")
-    try:
-        rows = _check_stochastic(rows, what)
-    except NotNormalized as exc:
-        raise SourceSpecError(str(exc)) from None
-    return rows / rows.sum(axis=-1, keepdims=True)
+    if rows.ndim != ndim or rows.size == 0:
+        raise SourceSpecError(f"{what} must be a non-empty {ndim}-dimensional array of decimals")
+    return rows / _row_sums(rows, what, SourceSpecError)
 
 
-def _initial(spec: dict, transition: np.ndarray) -> tuple[np.ndarray, str]:
-    """The spec's start distribution and its mode; stationary by default."""
+def _chain(cls, spec: dict, alphabet: Alphabet, transition: np.ndarray, *emission):
+    """`cls(alphabet, transition, *emission, initial)` with the spec's start
+    and its mode.  The stationary start (the default) is solved after a build
+    with a uniform stand-in start has checked every shape."""
     initial = spec.get("initial", "stationary")
-    if isinstance(initial, str) and initial == "stationary":
-        return stationary_distribution(transition), "stationary"
-    return _normalized(initial, "initial", 1), "explicit"
+    if not (isinstance(initial, str) and initial == "stationary"):
+        initial = _normalized(initial, "initial", 1)
+        return cls(alphabet, transition, *emission, initial, initial_mode="explicit")
+    uniform = np.ones(len(transition)) / len(transition)
+    source = cls(alphabet, transition, *emission, uniform, initial_mode="stationary")
+    return replace(source, initial=stationary_distribution(source.transition))
 
 
 def source_from_dict(spec: dict) -> SequenceSource:
     """Build a source from a parsed spec dictionary.
 
+    `alphabet` must be an array of symbol strings, and `states` (hidden
+    Markov only, optional) an integer equal to the number of transition rows.
     Probability vectors and stochastic rows are renormalized only when within
     1e-12 of summing to 1; anything farther off is rejected.  `initial` may be
     the string "stationary" to request the stationary distribution of the
-    (hidden) chain.
+    (hidden) chain.  The source constructors check every shape and entry.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise SourceSpecError("source spec must be an object with a 'kind' field")
     kind = spec["kind"]
-    try:
-        alphabet = Alphabet(tuple(spec["alphabet"]))
-    except KeyError:
-        raise SourceSpecError("source spec is missing 'alphabet'") from None
+    symbols = spec.get("alphabet")
+    if not isinstance(symbols, (list, tuple)):
+        raise SourceSpecError(f"alphabet must be an array of symbol strings, not {symbols!r}")
+    alphabet = Alphabet(tuple(symbols))
 
     if kind == "categorical":
-        probs = _normalized(spec.get("probs"), "probs", 1)
-        if probs.size != len(alphabet):
-            raise SourceSpecError("probs length must match the alphabet")
-        return CategoricalSource(alphabet, probs)
+        return CategoricalSource(alphabet, _normalized(spec.get("probs"), "probs", 1))
 
     if kind == "markov":
         transition = _normalized(spec.get("transition"), "transition", 2)
-        k = len(alphabet)
-        if transition.shape != (k, k):
-            raise SourceSpecError("transition must be |alphabet| square")
-        initial, mode = _initial(spec, transition)
-        return MarkovSource(alphabet, transition, initial, initial_mode=mode)
+        return _chain(MarkovSource, spec, alphabet, transition)
 
     if kind == "hmm":
         transition = _normalized(spec.get("transition"), "transition", 2)
-        n_states = transition.shape[0]
-        if transition.shape != (n_states, n_states):
-            raise SourceSpecError("hidden transition must be square")
-        if "states" in spec and int(spec["states"]) != n_states:
-            raise SourceSpecError("'states' disagrees with the transition matrix")
+        rows = len(transition)
+        states = spec.get("states", rows)
+        if isinstance(states, bool) or not isinstance(states, (int, np.integer)) or states != rows:
+            raise SourceSpecError(
+                f"states must be the integer {rows} (transition rows), not {states!r}"
+            )
         emission = _normalized(spec.get("emission"), "emission", 2)
-        if emission.shape != (n_states, len(alphabet)):
-            raise SourceSpecError("emission must be states x symbols")
-        initial, mode = _initial(spec, transition)
-        return HiddenMarkovSource(alphabet, transition, emission, initial, initial_mode=mode)
+        return _chain(HiddenMarkovSource, spec, alphabet, transition, emission)
 
     raise SourceSpecError(f"unknown source kind {kind!r}")
 

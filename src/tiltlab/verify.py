@@ -178,6 +178,16 @@ def check_derivative_suite(seed: int = 20240, count: int = 50) -> CheckResult:
     )
 
 
+def _reverse_dual(base: gw.RankTable, reversed_rank_of: np.ndarray) -> bool:
+    """Within every tie class of `base`, the reversed source's ranks G and the
+    base's reverse ranks R = size + 1 - G are the same set: both lists, in base
+    rank order, are sorted within tie classes by one `lexsort` each."""
+    groups = base.tie_groups()
+    got = reversed_rank_of[base.order]
+    want = base.size + 1 - base.rank_of[base.order]
+    return np.array_equal(got[np.lexsort((got, groups))], want[np.lexsort((want, groups))])
+
+
 def check_order_equivalence(n_max: int = 8) -> CheckResult:
     """Tilting never changes the optimal ordering; reversing inverts it up to
     tie classes; a non-tilt pair is detected with a concrete witness."""
@@ -194,17 +204,8 @@ def check_order_equivalence(n_max: int = 8) -> CheckResult:
         reversed_source = src.reverse(s)
         for n, base in tables.items():
             rev = gw.build_rank_table(reversed_source, n)
-            # within every tie class, the sets {G of the reversed source} and
-            # {R of the base source} must coincide
-            base_r = base.size + 1 - base.rank_of
-            groups = base.tie_groups()
-            for gid in np.unique(groups):
-                members = base.order[groups == gid]
-                got = np.sort(rev.rank_of[members])
-                want = np.sort(base_r[members])
-                if not np.array_equal(got, want):
-                    failures.append(f"{name}: reverse duality broken at n={n}")
-                    break
+            if not _reverse_dual(base, rev.rank_of):
+                failures.append(f"{name}: reverse duality broken at n={n}")
         equivalent = gw.order_equivalent(s, src.tilt(s, 2.0), n_max=n_max)
         if not equivalent.equivalent:
             failures.append(f"{name}: tilt order 2 not recognized as equivalent")

@@ -122,7 +122,22 @@ MALFORMED = {
     "hmm initial matrix": {**HMM, "initial": [[0.5, 0.5]]},
     "markov initial unknown string": {**MARKOV, "initial": "uniform"},
     "hmm initial unknown string": {**HMM, "initial": "Stationary"},
+    "alphabet 5": {**CATEGORICAL, "alphabet": 5, "probs": [0.2, 0.8]},
+    "alphabet null": {**CATEGORICAL, "alphabet": None, "probs": [0.2, 0.8]},
+    "alphabet string": {**CATEGORICAL, "alphabet": "ab", "probs": [0.2, 0.8]},
+    "hmm states null": {**HMM, "states": None},
+    "hmm states list": {**HMM, "states": [2]},
+    "hmm states float": {**HMM, "states": 2.0},
+    "hmm states disagree": {**HMM, "states": 3},
+    "probs wrong length": {**CATEGORICAL, "probs": [0.2, 0.3, 0.5]},
+    # singular as well as the wrong shape: the shape must be reported
+    "markov transition 3x3 on 2 symbols": {**MARKOV, "transition": np.eye(3).tolist()},
+    "markov transition 2x3": {**MARKOV, "transition": [[0.2, 0.3, 0.5], [0.5, 0.5, 0.0]]},
+    "hmm transition not square": {**HMM, "transition": [[1.0], [1.0]]},
+    "emission wrong shape": {**HMM, "emission": [[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]]},
+    "markov initial wrong length": {**MARKOV, "initial": [0.2, 0.3, 0.5]},
 }
+SPEC_FIELDS = ("kind", "alphabet", "states", "probs", "transition", "emission", "initial")
 
 
 @pytest.mark.parametrize("spec", MALFORMED.values(), ids=MALFORMED.keys())
@@ -137,6 +152,40 @@ def test_malformed_specs_exit_2(tmp_path, capsys, spec):
     path.write_text(json.dumps(spec))
     assert cli.main(["guesswork", "--source", str(path), "--n", "1"]) == 2
     assert capsys.readouterr().err.startswith("tiltlab: config error: ")
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_spec_messages_name_the_field(tmp_path, capsys, case):
+    # every case id names the field it breaks
+    field = next(word for word in case.split() if word in SPEC_FIELDS)
+    with pytest.raises(SourceSpecError, match=field):
+        tl.source_from_dict(MALFORMED[case])
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(MALFORMED[case]))
+    assert cli.main(["guesswork", "--source", str(path), "--n", "1"]) == 2
+    assert field in capsys.readouterr().err
+
+
+VALID = {"categorical": {**CATEGORICAL, "probs": [0.2, 0.8]}, "markov": MARKOV, "hmm": HMM}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=12,
+)
+# vectors and matrices whose rows often sum to 1, in every shape
+ROWS = st.lists(st.sampled_from([0.0, 0.5, 1.0]), max_size=4)
+NEAR_SPEC_VALUES = ROWS | st.lists(ROWS, max_size=4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(VALID)), st.sampled_from(SPEC_FIELDS), JSON_VALUES | NEAR_SPEC_VALUES)
+def test_any_json_value_in_any_field_loads_or_raises_source_spec_error(kind, field, value):
+    spec = json.loads(json.dumps({**VALID[kind], field: value}))
+    try:
+        tl.source_from_dict(spec)
+    except SourceSpecError:
+        pass
 
 
 @pytest.mark.parametrize("spec", [MARKOV, HMM], ids=["markov", "hmm"])
