@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateVariance, NegativeVariance, OutOfRange
 from .guesswork import TypicalSetSpec
 from .measures import cross_entropy, entropy, varentropy
-from .numeric import _exp_or_inf, log_sum_exp
+from .numeric import _exp_or_inf
 from .sources import (
     DEFAULT_BUDGET,
     CategoricalSource,
@@ -180,19 +180,37 @@ def _tilted_iid_stats(source: CategoricalSource, n: int, grid: np.ndarray):
 
 def _tilted_word_stats(logp: np.ndarray, grid: np.ndarray):
     """(cross-entropy level, entropy, varentropy) of each alpha-tilt of the
-    word distribution of an enumerated word log-prob vector."""
+    word distribution of an enumerated word log-prob vector.
+
+    Each order reuses two word-length buffers: w holds the tilted log-probs
+    alpha * logp - log Z, pw their exponentials.  log Z is `log_sum_exp`
+    step for step, with its max taken from the extreme log-prob the order's
+    sign selects: rounding is monotone, so fl(alpha * max) is the max of the
+    products for alpha > 0 and fl(alpha * min) for alpha < 0.
+    """
     support = np.isfinite(logp)
     full = bool(support.all())
     if not full and np.any(grid < 0):
         raise ValueError("negative tilt orders need a full-support word distribution")
     base = logp if full else logp[support]
+    neg_base = -base
+    top, bottom = float(base.max()), float(base.min())
+    w = np.empty_like(base)
+    pw = np.empty_like(base)
     for alpha in grid.tolist():
-        w = alpha * base
-        w = w - log_sum_exp(w)
-        pw = np.exp(w)
-        level = float(np.dot(pw, -base))
-        h = float(np.dot(pw, -w))
-        v = float(np.dot(pw, (w + h) ** 2))
+        np.multiply(alpha, base, out=w)
+        m = alpha * (top if alpha > 0 else bottom)
+        if math.isfinite(m):
+            np.subtract(w, m, out=pw)
+            m += float(np.log(np.exp(pw, out=pw).sum()))
+        np.subtract(w, m, out=w)
+        np.exp(w, out=pw)
+        level = float(np.dot(pw, neg_base))
+        np.negative(w, out=w)
+        h = float(np.dot(pw, w))
+        np.subtract(w, h, out=w)  # -(w + h), squared next
+        np.square(w, out=w)
+        v = float(np.dot(pw, w))
         yield level, h, v
 
 

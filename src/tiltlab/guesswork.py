@@ -73,16 +73,26 @@ _RECORDS_CHUNK = 1 << 16
 
 
 def _decode_strings(symbols: tuple[str, ...], n: int, lex_indices: np.ndarray) -> list[str]:
-    """The length-n strings at the given lexicographic indices."""
-    tokens = np.array(symbols, dtype=object)
+    """The length-n strings at the given lexicographic indices.
+
+    The base-k digits are split into groups of g, and each group is a gather
+    from the table of all k^g words of that length (the leading group may be
+    shorter).  g is the widest group, up to ceil(n/2), whose table holds no
+    more words than there are indices: many indices join two half-length
+    tables with one concatenation, and a single index is read symbol by
+    symbol.
+    """
+    k = len(symbols)
     rem = np.asarray(lex_indices, dtype=np.int64)
-    digits = []
-    for _ in range(n):
-        rem, digit = np.divmod(rem, len(symbols))
-        digits.append(digit)
-    strings = tokens[digits.pop()]
-    for digit in reversed(digits):
-        strings = strings + tokens[digit]
+    tables = [np.array(symbols, dtype=object)]  # tables[w - 1]: the words of length w
+    while len(tables) < (n + 1) // 2 and k ** (len(tables) + 1) <= rem.size:
+        tables.append((tables[-1][:, None] + tables[0]).reshape(-1))
+    g = len(tables)
+    lows = range(0, n, g)
+    digits = rem[:, None] // k ** np.arange(0, n, g) % k**g  # one column per group
+    strings = tables[n - lows[-1] - 1][digits[:, -1]]
+    for j in reversed(range(len(lows) - 1)):
+        strings = strings + tables[-1][digits[:, j]]
     return strings.tolist()
 
 

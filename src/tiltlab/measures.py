@@ -42,29 +42,43 @@ def varentropy(source: CategoricalSource, n: int = 1) -> float:
 
 def cross_entropy(rho: CategoricalSource, mu: CategoricalSource, n: int = 1) -> float:
     """n times the expectation under rho of -log mu."""
-    _require_same_alphabet(rho, mu)
-    support = rho.theta > 0
-    return -n * float(np.dot(rho.theta[support], mu.log_theta[support]))
+    p, _, lq = _on_support(rho, mu)
+    return _cross_entropy(p, lq, n)
 
 
 def cross_varentropy(rho: CategoricalSource, mu: CategoricalSource, n: int = 1) -> float:
     """n times the variance under rho of -log mu."""
-    _require_same_alphabet(rho, mu)
-    support = rho.theta > 0
-    p = rho.theta[support]
-    lq = mu.log_theta[support]
-    hx1 = -float(np.dot(p, lq))
-    return n * float(np.dot(p, (lq + hx1) ** 2))
+    p, _, lq = _on_support(rho, mu)
+    return _cross_varentropy(p, lq, n)
 
 
 def relative_entropy(rho: CategoricalSource, mu: CategoricalSource, n: int = 1) -> float:
     """n times the KL divergence of rho from mu; zero iff the vectors agree."""
+    return _relative_entropy(*_on_support(rho, mu), n)
+
+
+def _on_support(rho: CategoricalSource, mu: CategoricalSource):
+    """rho's probabilities, rho's log-probs and mu's log-probs where rho > 0."""
     _require_same_alphabet(rho, mu)
     support = rho.theta > 0
-    p = rho.theta[support]
-    d1 = float(np.dot(p, rho.log_theta[support] - mu.log_theta[support]))
+    return rho.theta[support], rho.log_theta[support], mu.log_theta[support]
+
+
+# The cross measures on arrays restricted to rho's support, for callers that
+# hold arrays rather than sources: p = rho's probabilities, lp = rho's
+# log-probs, lq = mu's log-probs.
+
+def _cross_entropy(p: np.ndarray, lq: np.ndarray, n: int = 1) -> float:
+    return -n * float(np.dot(p, lq))
+
+
+def _cross_varentropy(p: np.ndarray, lq: np.ndarray, n: int = 1) -> float:
+    return n * float(np.dot(p, (lq + _cross_entropy(p, lq)) ** 2))
+
+
+def _relative_entropy(p: np.ndarray, lp: np.ndarray, lq: np.ndarray, n: int = 1) -> float:
     # non-negative by Gibbs' inequality; only float rounding can dip below
-    return n * max(d1, 0.0)
+    return n * max(float(np.dot(p, lp - lq)), 0.0)
 
 
 def renyi_entropy(mu: CategoricalSource, alpha: float, n: int = 1) -> float:

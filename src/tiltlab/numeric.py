@@ -9,10 +9,10 @@ import numpy as np
 def log_sum_exp(values: np.ndarray) -> float:
     """log(sum(exp(values))) with the usual max shift."""
     values = np.asarray(values, dtype=np.float64)
-    m = float(np.max(values))
-    if not np.isfinite(m):
+    m = float(values.max())
+    if not math.isfinite(m):
         return m
-    return m + float(np.log(np.sum(np.exp(values - m))))
+    return m + float(np.log(np.exp(values - m).sum()))
 
 
 def _exp_or_inf(x: float) -> float:

@@ -13,7 +13,9 @@ per call, and then all t bisect in lockstep.  A vectorized (t x symbols)
 tilted level decides on which side of t each midpoint lies; only when it
 falls within LEVEL_GUARD of t does the scalar exact level decide.  Each
 decision is thus the one a lone scalar bisection on the exact level makes,
-and the roots are the same floats.
+and the roots are the same floats.  The exact level and the rate values at
+each root build no tilted source: they run the measures' sums on the
+probability array `tilt` would hold.
 """
 from __future__ import annotations
 
@@ -23,14 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketFailure, DegenerateVariance, OutOfRange
-from .measures import (
-    cross_entropy,
-    cross_varentropy,
-    entropy,
-    relative_entropy,
-    varentropy,
-)
-from .sources import CategoricalSource, tilt, uniform, validate
+from .measures import _cross_entropy, _cross_varentropy, _relative_entropy, relative_entropy
+from .sources import CategoricalSource, _tilted_theta, uniform, validate
 
 KINDS = ("forward_g", "reverse_r", "information_i")
 
@@ -86,12 +82,21 @@ _BRACKETS = {
 LEVEL_GUARD = 1e-13
 
 
+def _tilted_arrays(source: CategoricalSource, alpha: float):
+    """On the support of the order-alpha tilt: its probabilities, its
+    log-probs and the source's log-probs, the arrays the measures read from
+    `tilt(source, alpha)` and the source, with no source built."""
+    theta = _tilted_theta(source, alpha)
+    support = theta > 0
+    p = theta[support]
+    return p, np.log(p), source.log_theta[support]
+
+
 def _exact_level(source: CategoricalSource, kind: str, alpha: float) -> float:
-    """Entropy (or cross entropy against the source) of the order-alpha tilt."""
-    tilted = tilt(source, alpha)
-    if kind == "information_i":
-        return cross_entropy(tilted, source)
-    return entropy(tilted)
+    """Entropy (or cross entropy against the source) of the order-alpha tilt,
+    summed on its arrays; no tilted source is built."""
+    p, lp, lq = _tilted_arrays(source, alpha)
+    return _cross_entropy(p, lq if kind == "information_i" else lp)
 
 
 def _fast_levels(source: CategoricalSource, kind: str, alphas: np.ndarray) -> np.ndarray:
@@ -306,16 +311,16 @@ def rate_points(source: CategoricalSource, kind: str, ts) -> RateCurve:
     d1 = np.empty(ts.size)
     d2 = np.empty(ts.size)
     for i, a in enumerate(alphas.tolist()):
-        tilted = tilt(source, a)
-        rates[i] = relative_entropy(tilted, source)
+        p, lp, lq = _tilted_arrays(source, a)
+        rates[i] = _relative_entropy(p, lp, lq)
         if kind == "information_i":
             d1[i] = 1.0 - a
             # alpha^2 / V(tilt) written through the cross varentropy, which
             # stays finite and continuous through alpha = 0
-            inv_d2 = cross_varentropy(tilted, source)
+            inv_d2 = _cross_varentropy(p, lq)
         else:
             d1[i] = (1.0 - a) / a
-            inv_d2 = a * varentropy(tilted)
+            inv_d2 = a * _cross_varentropy(p, lp)
         if inv_d2 == 0.0:
             raise DegenerateVariance(
                 f"t={float(ts[i])}: tilted varentropy is numerically zero; d2J/dt2 is undefined"

@@ -158,15 +158,24 @@ def tilt(source: CategoricalSource, alpha: float) -> CategoricalSource:
     alpha = float(alpha)
     if alpha == 1.0:
         return source
+    return CategoricalSource(source.alphabet, _tilted_theta(source, alpha))
+
+
+def _tilted_theta(source: CategoricalSource, alpha: float) -> np.ndarray:
+    """The probability array of the order-alpha tilt, which `tilt` wraps in a
+    source: the source's own array at alpha=1, the uniform array at alpha=0."""
+    if alpha == 1.0:
+        return source.theta
     if alpha == 0.0:
-        return uniform(source.alphabet)
-    if alpha < 0.0 and not np.all(source.theta > 0.0):
+        k = len(source.alphabet)
+        return np.full(k, 1.0 / k)
+    if alpha < 0.0 and not (source.theta > 0.0).all():
         raise BoundaryViolation(
             f"tilt order {alpha} < 0 needs full support: some symbol probability is 0"
         )
     lt = alpha * source.log_theta
     lt = lt - log_sum_exp(lt)
-    return CategoricalSource(source.alphabet, np.exp(lt))
+    return np.exp(lt)
 
 
 def reverse(source: CategoricalSource) -> CategoricalSource:
@@ -435,6 +444,13 @@ def _normalized(values, what: str, ndim: int) -> np.ndarray:
     """A spec vector (ndim 1) or matrix of rows (ndim 2), renormalized when each
     row is within ASSUMPTION_TOL of summing to 1; SourceSpecError otherwise.
     Shapes and entries are left to the source constructors."""
+    pending = [values]
+    while pending:  # every innermost entry, in order
+        entry = pending.pop()
+        if isinstance(entry, (list, tuple)):
+            pending.extend(reversed(entry))
+        elif isinstance(entry, (bool, str)):  # numpy would read them as 0/1 and decimals
+            raise SourceSpecError(f"{what} must be an array of decimals, not {entry!r}")
     try:
         rows = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:  # ragged, non-numeric, huge

@@ -46,3 +46,33 @@ def categorical_sources(draw, min_size=2, max_size=6):
     except TiltlabError:
         assume(False)
     return source
+
+
+def _stochastic(rng, rows, cols):
+    """A row-stochastic matrix with about a third of its entries zero."""
+    m = rng.random((rows, cols)) * (rng.random((rows, cols)) > 0.35)
+    m[np.arange(rows), rng.integers(0, cols, rows)] += 0.1
+    return m / m.sum(axis=1, keepdims=True)
+
+
+def random_hmm(seed):
+    """2..4 symbols, 1..12 states, about a third of every array zero."""
+    rng = np.random.default_rng(seed)
+    k, states = int(rng.integers(2, 5)), int(rng.integers(1, 13))
+    return tl.HiddenMarkovSource(
+        tl.Alphabet(tuple(f"s{i}" for i in range(k))),
+        _stochastic(rng, states, states),
+        _stochastic(rng, states, k),
+        _stochastic(rng, 1, states)[0],
+    )
+
+
+def random_markov(seed):
+    """2..4 symbols, about a third of the transitions and starts zero."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 5))
+    return tl.MarkovSource(
+        tl.Alphabet(tuple(f"s{i}" for i in range(k))),
+        _stochastic(rng, k, k),
+        _stochastic(rng, 1, k)[0],
+    )

@@ -50,6 +50,13 @@ def _bisect(
     return 0.5 * (lo + hi)
 
 
+def level(source: CategoricalSource, kind: str, alpha: float) -> float:
+    """The level a kind's root solves for: the entropy of the order-alpha
+    tilt, or for information its cross entropy against the source."""
+    tilted = tilt(source, alpha)
+    return cross_entropy(tilted, source) if kind == "information_i" else entropy(tilted)
+
+
 def alpha_for_entropy(
     source: CategoricalSource, t: float, branch: str = "positive"
 ) -> float:

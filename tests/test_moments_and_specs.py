@@ -136,6 +136,16 @@ MALFORMED = {
     "hmm transition not square": {**HMM, "transition": [[1.0], [1.0]]},
     "emission wrong shape": {**HMM, "emission": [[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]]},
     "markov initial wrong length": {**MARKOV, "initial": [0.2, 0.3, 0.5]},
+    # numpy would parse these as (0.2, 0.8), (0, 1), (1.0, 0.5) and (0.5, 0.5)
+    "probs strings": {**CATEGORICAL, "probs": ["0.2", "0.8"]},
+    "probs booleans": {**CATEGORICAL, "probs": [False, True]},
+    "probs boolean and decimal": {**CATEGORICAL, "probs": [True, 0.5]},
+    "probs decimal and string": {**CATEGORICAL, "probs": [0.5, "0.5"]},
+    "probs one string": {**CATEGORICAL, "probs": "0.5"},
+    "probs one boolean": {**CATEGORICAL, "probs": True},
+    "transition boolean row": {**MARKOV, "transition": [[0.5, 0.5], [True, False]]},
+    "emission string entry": {**HMM, "emission": [[0.7, 0.3], ["0.5", 0.5]]},
+    "hmm initial booleans": {**HMM, "initial": [True, False]},
 }
 SPEC_FIELDS = ("kind", "alphabet", "states", "probs", "transition", "emission", "initial")
 
@@ -164,6 +174,11 @@ def test_malformed_spec_messages_name_the_field(tmp_path, capsys, case):
     path.write_text(json.dumps(MALFORMED[case]))
     assert cli.main(["guesswork", "--source", str(path), "--n", "1"]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_integer_spec_entries_still_load():
+    source = tl.source_from_dict({**CATEGORICAL, "probs": [1, 0]})
+    assert as_bits(source.theta) == as_bits([1.0, 0.0])
 
 
 VALID = {"categorical": {**CATEGORICAL, "probs": [0.2, 0.8]}, "markov": MARKOV, "hmm": HMM}

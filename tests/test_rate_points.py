@@ -133,12 +133,16 @@ def test_alpha_solvers_match_reference(name):
         assert got == reference_outcome(ref.alpha_for_cross_entropy, source, t), t
 
 
-@pytest.mark.parametrize("alpha", [1e-6, 1.0, 2.0, 1.5, 0.5, -1e-6, -1.0, -2.0, -1.5, 0.0])
+@pytest.mark.parametrize(
+    "alpha", [1e-6, 1.0, 2.0, 1.5, 0.5, -1e-6, -1.0, -2.0, -1.5, 0.0, 1e-14, -1e-14, 1e4, -1e4]
+)
 def test_levels_hit_exactly_at_ladder_points_and_midpoints(s3, alpha):
     # t equal to the exact level at a start point, a ladder point or a first
-    # midpoint ends the solve there, with a zero difference
+    # midpoint ends the solve there, with a zero difference; the level, built
+    # on no source, is the tilted source's, bit for bit
     for kind in rt.KINDS:
         t = rt._exact_level(s3, kind, alpha)
+        assert as_bits(t) == as_bits(ref.level(s3, kind, alpha))
         expected = reference_outcome(reference_rows, s3, kind, [t])
         assert outcome(lockstep_rows, s3, kind, [t]) == expected
 

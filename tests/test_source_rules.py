@@ -14,29 +14,12 @@ from tiltlab import guesswork as gw
 from tiltlab import verify
 from tiltlab.errors import NotNormalized, SourceSpecError
 
+from conftest import random_hmm
 from reference_sources import reference_hmm_log_prob, reference_hmm_word_log_probs
 
 
 def as_bits(values):
     return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
-
-
-def random_hmm(seed):
-    """2..4 symbols, 1..12 states, about a third of every array zero."""
-    rng = np.random.default_rng(seed)
-    k, states = int(rng.integers(2, 5)), int(rng.integers(1, 13))
-
-    def stochastic(rows, cols):
-        m = rng.random((rows, cols)) * (rng.random((rows, cols)) > 0.35)
-        m[np.arange(rows), rng.integers(0, cols, rows)] += 0.1
-        return m / m.sum(axis=1, keepdims=True)
-
-    return tl.HiddenMarkovSource(
-        tl.Alphabet(tuple(f"s{i}" for i in range(k))),
-        stochastic(states, states),
-        stochastic(states, k),
-        stochastic(1, states)[0],
-    )
 
 
 def assert_hmm_bits(source, n_max, rng):
