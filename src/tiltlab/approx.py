@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateVariance, NegativeVariance, OutOfRange
 from .guesswork import TypicalSetSpec
-from .measures import cross_entropy, entropy, varentropy
+from .measures import _cross_entropy, _cross_varentropy, _tilted_arrays
 from .numeric import _exp_or_inf
 from .sources import (
     DEFAULT_BUDGET,
@@ -29,7 +29,6 @@ from .sources import (
     SequenceSource,
     _require_length,
     enumerate_word_log_probs,
-    tilt,
     validate,
 )
 
@@ -46,15 +45,10 @@ class WordMeasures:
 def word_measures(
     source: SequenceSource, n: int, budget: int = DEFAULT_BUDGET
 ) -> WordMeasures:
-    """Word-level measures: n-scaled for i.i.d., enumerated otherwise."""
+    """Word-level measures: n-scaled for i.i.d., enumerated otherwise; the
+    order-1 point of the tilt sweep `approx_pmf_curve` runs."""
     _require_length(n)
-    if isinstance(source, CategoricalSource):
-        return WordMeasures(n, entropy(source, n), varentropy(source, n))
-    logp = enumerate_word_log_probs(source, n, budget)
-    support = np.isfinite(logp)
-    p = np.exp(logp[support])
-    h = float(np.dot(p, -logp[support]))
-    v = float(np.dot(p, (logp[support] + h) ** 2))
+    _, h, v = next(_tilted_stats(source, n, np.ones(1), budget))
     return WordMeasures(n, h, v)
 
 
@@ -105,9 +99,9 @@ def approx_set_size(
     """
     TypicalSetSpec(alpha, epsilon, n)  # the alpha != 0, epsilon > 0 and n >= 1 rules
     validate(source)
-    tilted = tilt(source, alpha)
-    h = entropy(tilted, n)
-    v = varentropy(tilted, n)
+    p, lp, _ = _tilted_arrays(source, alpha)
+    h = _cross_entropy(p, lp, n)
+    v = _cross_varentropy(p, lp, n)
     if v <= 1e-12:
         raise DegenerateVariance("tilted varentropy is numerically zero")
     a = abs(alpha) * n * epsilon
@@ -170,12 +164,20 @@ def _sweep_grid(
     return grid, total
 
 
-def _tilted_iid_stats(source: CategoricalSource, n: int, grid: np.ndarray):
+def _tilted_stats(
+    source: SequenceSource, n: int, grid: np.ndarray, budget: int, log_probs=None
+):
     """(cross-entropy level, entropy, varentropy) of the length-n words of
-    each alpha-tilt of an i.i.d. source."""
-    for alpha in grid.tolist():
-        tilted = tilt(source, alpha)
-        yield cross_entropy(tilted, source, n), entropy(tilted, n), varentropy(tilted, n)
+    each alpha-tilt: n-scaled sums on each tilt's arrays for an i.i.d. source,
+    else a sweep of the word log-probs (enumerated unless `log_probs` holds them)."""
+    if isinstance(source, CategoricalSource):
+        for alpha in grid.tolist():
+            p, lp, lq = _tilted_arrays(source, alpha)
+            yield _cross_entropy(p, lq, n), _cross_entropy(p, lp, n), _cross_varentropy(p, lp, n)
+    else:
+        if log_probs is None:
+            log_probs = enumerate_word_log_probs(source, n, budget)
+        yield from _tilted_word_stats(log_probs, grid)
 
 
 def _tilted_word_stats(logp: np.ndarray, grid: np.ndarray):
@@ -229,13 +231,7 @@ def approx_pmf_curve(
     the words already (`RankTable.log_probs`) passes them as `log_probs`.
     """
     grid, total = _sweep_grid(source, n, alpha_grid)
-    if isinstance(source, CategoricalSource):
-        stats = _tilted_iid_stats(source, n, grid)
-    else:
-        if log_probs is None:
-            log_probs = enumerate_word_log_probs(source, n, budget)
-        stats = _tilted_word_stats(log_probs, grid)
-
+    stats = _tilted_stats(source, n, grid, budget, log_probs)
     points = []
     for alpha, (level, h, v) in zip(grid.tolist(), stats):
         raw = approx_rank(h, v)

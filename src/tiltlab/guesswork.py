@@ -15,12 +15,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import AlphabetMismatch, UnknownString, UnknownSymbol
-from .measures import (
-    cross_entropy,
-    cross_varentropy,
-    entropy,
-    relative_entropy,
-)
+from .measures import _cross_entropy, _cross_varentropy, _relative_entropy, _tilted_arrays
 from .numeric import _exp_or_inf, log_sum_exp
 from .sources import (
     DEFAULT_BUDGET,
@@ -28,7 +23,6 @@ from .sources import (
     SequenceSource,
     _require_length,
     _word_levels,
-    tilt,
     validate,
 )
 
@@ -297,11 +291,11 @@ def typical_set(
     if table is None:
         table = build_rank_table(source, n, budget)
 
-    tilted = tilt(source, alpha)
-    level = n * cross_entropy(tilted, source)  # cross-entropy level of the window
-    h_tilt = n * entropy(tilted)
-    vx = n * cross_varentropy(tilted, source)
-    dn = n * relative_entropy(tilted, source)
+    p, lp, lq = _tilted_arrays(source, alpha)
+    level = _cross_entropy(p, lq, n)  # cross-entropy level of the window
+    h_tilt = _cross_entropy(p, lp, n)
+    vx = _cross_varentropy(p, lq, n)
+    dn = _relative_entropy(p, lp, lq, n)
 
     logp = table.log_probs
     # tilted word log-probs share the type-class bit pattern of logp

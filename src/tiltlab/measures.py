@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import AlphabetMismatch
 from .numeric import log_sum_exp
-from .sources import CategoricalSource, SequenceSource, string_log_prob
+from .sources import CategoricalSource, SequenceSource, _tilted_theta, string_log_prob
 
 
 def _require_same_alphabet(rho: CategoricalSource, mu: CategoricalSource) -> None:
@@ -64,9 +64,19 @@ def _on_support(rho: CategoricalSource, mu: CategoricalSource):
     return rho.theta[support], rho.log_theta[support], mu.log_theta[support]
 
 
+def _tilted_arrays(source: CategoricalSource, alpha: float):
+    """`_on_support(tilt(source, alpha), source)`, bit for bit, with no
+    tilted source built: the order-alpha tilt's probabilities and log-probs
+    and the source's log-probs, where the tilt is positive."""
+    theta = _tilted_theta(source, alpha)
+    support = theta > 0
+    p = theta[support]
+    return p, np.log(p), source.log_theta[support]
+
+
 # The cross measures on arrays restricted to rho's support, for callers that
-# hold arrays rather than sources: p = rho's probabilities, lp = rho's
-# log-probs, lq = mu's log-probs.
+# hold arrays rather than sources (`_on_support`, `_tilted_arrays`): p = rho's
+# probabilities, lp = rho's log-probs, lq = mu's log-probs.
 
 def _cross_entropy(p: np.ndarray, lq: np.ndarray, n: int = 1) -> float:
     return -n * float(np.dot(p, lq))

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketFailure, DegenerateVariance, OutOfRange
-from .measures import _cross_entropy, _cross_varentropy, _relative_entropy, relative_entropy
-from .sources import CategoricalSource, _tilted_theta, uniform, validate
+from .measures import _cross_entropy, _cross_varentropy, _relative_entropy, _tilted_arrays
+from .sources import CategoricalSource, validate
 
 KINDS = ("forward_g", "reverse_r", "information_i")
 
@@ -80,16 +80,6 @@ _BRACKETS = {
 #: exact scalar level when deciding on which side of t a bisection midpoint
 #: lies; the two levels differ by a few ulps, far below this margin
 LEVEL_GUARD = 1e-13
-
-
-def _tilted_arrays(source: CategoricalSource, alpha: float):
-    """On the support of the order-alpha tilt: its probabilities, its
-    log-probs and the source's log-probs, the arrays the measures read from
-    `tilt(source, alpha)` and the source, with no source built."""
-    theta = _tilted_theta(source, alpha)
-    support = theta > 0
-    p = theta[support]
-    return p, np.log(p), source.log_theta[support]
 
 
 def _exact_level(source: CategoricalSource, kind: str, alpha: float) -> float:
@@ -224,13 +214,13 @@ def _domain(source: CategoricalSource, kind: str) -> tuple[float, float]:
 
 def _endpoint_value(source: CategoricalSource, kind: str, at_lower: bool) -> float:
     # lower end: point mass on the most likely symbol (least likely for
-    # reverse_r); upper end: the uniform source, or for information the
-    # point mass on the least likely symbol
+    # reverse_r); upper end: the uniform source (the order-0 tilt), or for
+    # information the point mass on the least likely symbol
     if at_lower:
         return -math.log(source.min_prob if kind == "reverse_r" else source.max_prob)
     if kind == "information_i":
         return -math.log(source.min_prob)
-    return relative_entropy(uniform(source.alphabet), source)
+    return _relative_entropy(*_tilted_arrays(source, 0.0))
 
 
 def _rate(source: CategoricalSource, t: float, kind: str) -> float:
@@ -281,17 +271,6 @@ class RateCurve:
     rate: np.ndarray
     d_rate: np.ndarray
     d2_rate: np.ndarray
-
-    def rows(self):
-        for i in range(self.t.size):
-            yield (
-                self.kind,
-                float(self.alpha[i]),
-                float(self.t[i]),
-                float(self.rate[i]),
-                float(self.d_rate[i]),
-                float(self.d2_rate[i]),
-            )
 
 
 def rate_points(source: CategoricalSource, kind: str, ts) -> RateCurve:

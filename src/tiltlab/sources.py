@@ -286,24 +286,47 @@ SequenceSource = Union[CategoricalSource, MarkovSource, HiddenMarkovSource]
 def string_log_prob(source: SequenceSource, x: Union[str, Sequence[str]]) -> float:
     """Exact natural-log probability of the string under the source.
 
-    For i.i.d. sources the value is the dot product of the symbol-count
-    vector with the symbol log-probs, so two strings in the same type class
-    get bit-identical results.  A symbol the string does not use adds no
-    term, so a zero-probability symbol gives -inf only to strings that use
-    it.  Hidden Markov likelihoods use the scaled forward recursion.
+    The value is the entry `enumerate_word_log_probs` gives the string, by
+    the same rules: an i.i.d. string gets its type class's log-prob, summed
+    by the class rule (so a zero-probability symbol gives -inf only to
+    strings that use it), and Markov and hidden Markov strings run the
+    enumeration's forward recursion with one symbol per level.  It is the
+    entry bit for bit, except that a hidden chain with many states may move
+    the last bits: one row's state sums and products reduce in another order.
     """
     idx = source.alphabet.encode(x)
     if isinstance(source, CategoricalSource):
-        counts = np.bincount(idx, minlength=len(source.alphabet)).astype(np.float64)
-        return float(np.dot(counts, np.where(counts > 0, source.log_theta, 0.0)))
-    if isinstance(source, MarkovSource):
-        with np.errstate(divide="ignore"):
-            lp = float(np.log(source.initial[idx[0]]))
-            log_t = np.log(source.transition)
-        for a, b in zip(idx[:-1], idx[1:]):
-            lp += float(log_t[a, b])
+        counts = np.bincount(idx, minlength=len(source.alphabet))
+        lp = 0.0  # the class rule of `_type_classes`
+        for count, log_theta in zip(counts.tolist(), source.log_theta.tolist()):
+            if count:
+                lp += count * log_theta
         return lp
-    return float(_hmm_forward(source, idx[:, None])[0])
+    return float(_forward(source)(source, idx[:, None])[0])
+
+
+def _forward(source: Union[MarkovSource, HiddenMarkovSource]):
+    """The word log-prob recursion of a Markov or hidden Markov source."""
+    return _markov_forward if isinstance(source, MarkovSource) else _hmm_forward
+
+
+def _markov_forward(source: MarkovSource, levels) -> np.ndarray:
+    """The log-prob of every word whose j-th symbol runs over the symbols
+    `levels[j]` selects, in lexicographic order.
+
+    Each level adds to every prefix's log-prob the log-prob of each selected
+    symbol: the start distribution's at the first level, after that the
+    transition row of the prefix's last symbol.
+    """
+    with np.errstate(divide="ignore"):
+        rows = np.log(source.initial)[None, :]  # the next symbol's log-probs
+        log_t = np.log(source.transition)
+    logp = np.zeros((1, 1))  # prefixes x the symbols of their last level
+    for symbols in levels:
+        logp = logp[:, :, None] + rows[:, symbols]
+        logp = logp.reshape(-1, logp.shape[-1])
+        rows = log_t[symbols]
+    return logp.reshape(-1)
 
 
 def _hmm_forward(source: HiddenMarkovSource, levels) -> np.ndarray:
@@ -354,7 +377,9 @@ def enumerate_word_log_probs(
     C(n+k-1, k-1) classes for k symbols; each class log-prob is accumulated
     in alphabet order as 0.0, then += count * log theta, and a zero count
     adds no term.  Markov strings extend prefix log-probs one transition at a
-    time; hidden Markov strings carry a scaled forward vector per prefix.
+    time (`_markov_forward`); hidden Markov strings carry a scaled forward
+    vector per prefix (`_hmm_forward`).  `string_log_prob` runs the same class
+    rule and the same two recursions on one string.
     """
     return _word_levels(source, n, budget)[0]
 
@@ -369,24 +394,13 @@ def _word_levels(
     and hidden Markov sources the levels are the per-string log-probs and
     `level_of` is None.  The budget is checked before anything is allocated.
     """
-    k = len(source.alphabet)
     _require_length(n)
-    require_budget(k, n, budget)
-
+    require_budget(len(source.alphabet), n, budget)
     if isinstance(source, CategoricalSource):
         levels, level_of = _type_classes(source, n)
         return levels[level_of], levels, level_of
 
-    if isinstance(source, MarkovSource):
-        with np.errstate(divide="ignore"):
-            log_t = np.log(source.transition)
-            cur = np.log(source.initial.copy())
-        for _ in range(n - 1):
-            last = np.arange(cur.size, dtype=np.int64) % k
-            cur = (cur[:, None] + log_t[last, :]).reshape(-1)
-        return cur, cur, None
-
-    logp = _hmm_forward(source, [slice(None)] * n)
+    logp = _forward(source)(source, [slice(None)] * n)
     return logp, logp, None
 
 

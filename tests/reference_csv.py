@@ -5,7 +5,8 @@ its tables column by column: every cell is formatted on its own and every
 row is joined on its own.  The subcommand bodies below are the CLI's
 `tilt`, `guesswork`, `typical`, `rate` and `approx` as they were then, with
 their row generators; the Markov and hidden-Markov `approx` enumerates the
-words twice here.  The CLI must write the same bytes.
+words twice here; `rate_rows` is the row generator rate curves had then.
+The CLI must write the same bytes.
 """
 import sys
 from pathlib import Path
@@ -35,6 +36,19 @@ def write_csv(path, header, rows, meta: dict) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def rate_rows(curve):
+    """(kind, alpha, t, J, dJ/dt, d2J/dt2) rows of a rate curve, one per t."""
+    for i in range(curve.t.size):
+        yield (
+            curve.kind,
+            float(curve.alpha[i]),
+            float(curve.t[i]),
+            float(curve.rate[i]),
+            float(curve.d_rate[i]),
+            float(curve.d2_rate[i]),
+        )
 
 
 def _tilt(args) -> int:
@@ -87,7 +101,7 @@ def _rate(args) -> int:
         curve = rt.rate_curve(source, kind, n_samples=args.samples)
     meta = cli._source_meta(args)
     meta["kind"] = args.kind
-    write_csv(args.out, ["kind", "alpha", "t_nats", "J_nats", "dJdt", "d2Jdt2"], curve.rows(), meta)
+    write_csv(args.out, ["kind", "alpha", "t_nats", "J_nats", "dJdt", "d2Jdt2"], rate_rows(curve), meta)
     return 0
 
 

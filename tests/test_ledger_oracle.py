@@ -136,6 +136,15 @@ def test_edge_cases_match_reference_bits(case):
     assert holds(report)
 
 
+@pytest.mark.parametrize("name, n", [("s2", 8), ("s3", 6), ("s77_sample", 2)])
+@pytest.mark.parametrize("alpha", [-1e4, -1e-14, 1e-14, 1e4])
+def test_extreme_orders_match_reference_bits(name, n, alpha):
+    source = tl.load_source(tl.builtin_spec_path(name))
+    table = tl.build_rank_table(source, n)
+    for epsilon in (0.02, 0.3):
+        check_against_reference(source, tl.TypicalSetSpec(alpha=alpha, epsilon=epsilon, n=n), table)
+
+
 def test_overflowing_threshold_raised_in_the_reference():
     s3 = tl.load_source(tl.builtin_spec_path("s3"))
     with pytest.raises(OverflowError):

@@ -12,6 +12,7 @@ from tiltlab import rates as rt
 from tiltlab.errors import BracketFailure, DegenerateVariance, OutOfRange
 
 import reference_rates as ref
+from reference_csv import rate_rows
 from conftest import categorical_sources
 
 SHIPPED = ("s2", "s3", "s77_sample")
@@ -56,7 +57,7 @@ def row_bits(rows):
 
 
 def lockstep_rows(source, kind, ts):
-    return row_bits(rt.rate_points(source, kind, ts).rows())
+    return row_bits(rate_rows(rt.rate_points(source, kind, ts)))
 
 
 def reference_rows(source, kind, ts):

@@ -174,11 +174,6 @@ class TestRateCurve:
         assert curve.rate[i] < 5e-4
         assert abs(curve.d_rate[i]) < 0.05
 
-    def test_rows_structure(self, s2):
-        rows = list(tl.rate_curve(s2, "reverse_r", 5).rows())
-        assert len(rows) == 5
-        assert rows[0][0] == "reverse_r"
-
     def test_bad_kind(self, s2):
         with pytest.raises(ValueError):
             tl.rate_curve(s2, "sideways", 5)
