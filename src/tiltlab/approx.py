@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateVariance, NegativeVariance, OutOfRange
+from .errors import DegenerateVariance, InvalidInput, NegativeVariance, OutOfRange
 from .guesswork import TypicalSetSpec
 from .measures import _cross_entropy, _cross_varentropy, _tilted_arrays
 from .numeric import _exp_or_inf
@@ -150,9 +150,9 @@ def _sweep_grid(
         default_alpha_grid() if alpha_grid is None else alpha_grid, dtype=np.float64
     )
     if np.any(grid == 0):
-        raise ValueError("alpha grid must exclude 0")
+        raise InvalidInput("alpha grid must exclude 0")
     if not (np.any(grid > 0) and np.any(grid < 0)):
-        raise ValueError("alpha grid must cover both signs")
+        raise InvalidInput("alpha grid must cover both signs")
     _require_length(n)
     k = len(source.alphabet)
     try:
@@ -193,7 +193,7 @@ def _tilted_word_stats(logp: np.ndarray, grid: np.ndarray):
     support = np.isfinite(logp)
     full = bool(support.all())
     if not full and np.any(grid < 0):
-        raise ValueError("negative tilt orders need a full-support word distribution")
+        raise InvalidInput("negative tilt orders need a full-support word distribution")
     base = logp if full else logp[support]
     neg_base = -base
     top, bottom = float(base.max()), float(base.min())

@@ -27,14 +27,15 @@ from . import sources as src
 from . import verify as vf
 from .errors import (
     BoundaryViolation,
+    InvalidInput,
     NotNormalized,
     SourceSpecError,
     TieViolation,
     TiltlabError,
 )
 
-#: input problems (malformed files, invalid sources, bad grids) exit 2
-CONFIG_ERRORS = (SourceSpecError, NotNormalized, BoundaryViolation, TieViolation, ValueError)
+#: input problems (malformed files, invalid sources, bad arguments) exit 2
+CONFIG_ERRORS = (SourceSpecError, InvalidInput, NotNormalized, BoundaryViolation, TieViolation)
 
 BUDGET_ENV = "TILTLAB_BUDGET"
 

@@ -1,7 +1,8 @@
 """Exception types shared across the library.
 
-The CLI maps these onto exit codes: parse/config problems (SourceSpecError)
-exit 2, everything else derived from TiltlabError exits 1.
+The CLI maps these onto exit codes: parse/config problems (SourceSpecError,
+InvalidInput and the source assumption errors) exit 2, everything else
+derived from TiltlabError exits 1.
 """
 
 
@@ -11,6 +12,11 @@ class TiltlabError(Exception):
 
 class SourceSpecError(TiltlabError):
     """A source description (file or dict) could not be parsed or is malformed."""
+
+
+class InvalidInput(TiltlabError, ValueError):
+    """An argument breaks an input rule: a length, order, width, grid, curve
+    kind or sample count out of its domain, or a table that does not fit."""
 
 
 class NotNormalized(TiltlabError):

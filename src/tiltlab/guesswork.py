@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain, combinations_with_replacement
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import AlphabetMismatch, UnknownString, UnknownSymbol
+from .errors import AlphabetMismatch, InvalidInput, UnknownString, UnknownSymbol
 from .measures import _cross_entropy, _cross_varentropy, _relative_entropy, _tilted_arrays
 from .numeric import _exp_or_inf, log_sum_exp
 from .sources import (
@@ -97,6 +98,11 @@ class RankTable:
     G is a bijection onto 1..|alphabet|^n ordered by decreasing probability
     (lexicographic tie-break); R = |alphabet|^n + 1 - G, so the least likely
     string has R = 1 and log R stays finite.
+
+    An i.i.d. table also keeps its type classes: `levels` holds the log-prob
+    of each class and `level_of` the class of each lexicographic string
+    index, so `log_probs` is `levels[level_of]` bit for bit.  Both are None
+    for Markov and hidden Markov tables, whose strings have no classes.
     """
 
     source: SequenceSource
@@ -104,6 +110,8 @@ class RankTable:
     log_probs: np.ndarray  # indexed by lexicographic string index
     order: np.ndarray  # rank - 1  -> lexicographic string index
     rank_of: np.ndarray  # lexicographic string index -> G
+    levels: Optional[np.ndarray] = None  # log-prob per type class
+    level_of: Optional[np.ndarray] = None  # lexicographic string index -> type class
 
     @property
     def size(self) -> int:
@@ -139,7 +147,16 @@ class RankTable:
 
     def pmf(self) -> np.ndarray:
         """Probability at each rank; pmf()[r - 1] is the rank-r probability."""
-        return np.exp(self.log_probs[self.order])
+        if self.level_of is None:
+            return np.exp(self.log_probs[self.order])
+        run_classes, run_lengths = self._class_runs()
+        return np.repeat(np.exp(self.levels[run_classes]), run_lengths)
+
+    def _class_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The class and the length of each run of equal type classes in rank order."""
+        classes = self.level_of[self.order]
+        starts = np.flatnonzero(classes[1:] != classes[:-1]) + 1
+        return classes[np.r_[0, starts]], np.diff(starts, prepend=0, append=classes.size)
 
     def records(self) -> Iterator[tuple[str, float, int, int]]:
         """(string, log-prob, G, R) rows in rank order."""
@@ -152,8 +169,20 @@ class RankTable:
                 yield x, logp, r, size + 1 - r
 
     def tie_groups(self) -> np.ndarray:
-        """Group id per rank position; equal ids mean tied probabilities."""
-        return _tie_group_ids(self.log_probs[self.order], TIE_TOL_PER_SYMBOL * self.n)
+        """Group id per rank position; equal ids mean tied probabilities.
+
+        Groups chain the rank-ordered log-probs, so near-equal classes whose
+        strings interleave in lexicographic order can split a block that the
+        build ordered as one (ROADMAP item 9 has the fix, which moves a
+        benchmark digest).  An i.i.d. table walks the runs of equal classes
+        in rank order: a group can start only where the class changes, and
+        there the gap between the two class levels decides it.
+        """
+        tie_tol = TIE_TOL_PER_SYMBOL * self.n
+        if self.level_of is None:
+            return _tie_group_ids(self.log_probs[self.order], tie_tol)
+        run_classes, run_lengths = self._class_runs()
+        return np.repeat(_tie_group_ids(self.levels[run_classes], tie_tol), run_lengths)
 
 
 def build_rank_table(
@@ -163,17 +192,21 @@ def build_rank_table(
 
     For an i.i.d. source only the C(n+k-1, k-1) type-class levels are sorted
     and grouped; every string's log-prob and tie-group key are gathers from
-    its class.  Markov and hidden Markov strings are grouped on their own
-    log-probs.  One stable sort on the integer group key then gives the
-    rank order.
+    its class, and the table keeps the classes (`levels`, `level_of`).
+    Markov and hidden Markov strings are grouped on their own log-probs.
+    One stable sort on the integer group key then gives the rank order.
     """
     logp, levels, level_of = _word_levels(source, n, budget)
     order = _rank_order(levels, level_of, TIE_TOL_PER_SYMBOL * n)
     rank_of = np.empty(logp.size, dtype=np.int64)
     rank_of[order] = np.arange(1, logp.size + 1)
-    for arr in (logp, order, rank_of):
-        arr.setflags(write=False)
-    return RankTable(source=source, n=n, log_probs=logp, order=order, rank_of=rank_of)
+    if level_of is None:
+        levels = None
+    for arr in (logp, order, rank_of, levels, level_of):
+        if arr is not None:
+            arr.setflags(write=False)
+    return RankTable(source=source, n=n, log_probs=logp, order=order, rank_of=rank_of,
+                     levels=levels, level_of=level_of)
 
 
 def guesswork_pmf(table: RankTable) -> np.ndarray:
@@ -204,9 +237,9 @@ class TypicalSetSpec:
 
     def __post_init__(self):
         if self.alpha == 0:
-            raise ValueError("alpha must be non-zero")
+            raise InvalidInput("alpha must be non-zero")
         if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+            raise InvalidInput("epsilon must be positive")
         _require_length(self.n)
 
 
@@ -278,6 +311,67 @@ def _bound_over(bound_id: str, values: np.ndarray, holds, rhs: float, vacuous=Fa
     return BoundCheck(bound_id, lhs, rhs, holds(lhs, rhs), vacuous)
 
 
+def _strings_of(logp: np.ndarray, levels: np.ndarray, chosen: np.ndarray, upward: bool):
+    """Per-string mask of the classes that `chosen` marks, a set of classes
+    closed upward (or downward) in level.
+
+    A threshold on the tilted level marks such a set: alpha * level - c is
+    monotone in the level, and so is its rounding.  One comparison of the
+    per-string log-probs against the lowest (highest) marked level then
+    gives the mask.
+    """
+    if not chosen.any():
+        return np.zeros(logp.size, dtype=bool)
+    if upward:
+        return logp >= levels[chosen].min()
+    return logp <= levels[chosen].max()
+
+
+def _class_rank_spans(table: RankTable) -> tuple[np.ndarray, np.ndarray]:
+    """First and last rank G of every type class of an i.i.d. table.
+
+    A class lies in one tie block, whose strings are ranked in lexicographic
+    order, so its ranks run from its sorted string (symbols in alphabet
+    order) to the same string reversed.  The sorted strings are the length-n
+    multisets of the alphabet, one per class.
+    """
+    k, n = len(table.source.alphabet), table.n
+    multisets = chain.from_iterable(combinations_with_replacement(range(k), n))
+    digits = np.fromiter(multisets, dtype=np.int64).reshape(-1, n)
+    weights = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    first_idx, last_idx = digits @ weights, digits[:, ::-1] @ weights
+    classes = table.level_of[first_idx]
+    first = np.empty(table.levels.size, dtype=np.int64)
+    last = np.empty_like(first)
+    first[classes] = table.rank_of[first_idx]
+    last[classes] = table.rank_of[last_idx]
+    return first, last
+
+
+def _least_tilted_half(
+    a_idx: np.ndarray, a_class_of: np.ndarray, a_classes: np.ndarray, tilted: np.ndarray
+) -> np.ndarray:
+    """The floor(|A|/2) members of A least likely under the tilt, ties at the
+    boundary tilted level broken lexicographically, in ascending order.
+
+    A's classes are sorted by tilted level: every class strictly below the
+    level of the half-th string is taken whole, and the strings of the
+    classes at that level (several classes may share it) are taken in
+    lexicographic order until the half is full.
+    """
+    half = a_idx.size // 2
+    if half == 0:
+        return a_idx[:0]
+    a_tilted = tilted[a_classes]
+    by_tilted = np.argsort(a_tilted)
+    sizes = np.bincount(a_class_of, minlength=tilted.size)[a_classes]
+    boundary = a_tilted[by_tilted[np.searchsorted(np.cumsum(sizes[by_tilted]), half)]]
+    in_b = (tilted < boundary).take(a_class_of)
+    at_boundary = np.flatnonzero((tilted == boundary).take(a_class_of))
+    in_b[at_boundary[: half - np.count_nonzero(in_b)]] = True
+    return a_idx[in_b]
+
+
 def typical_set(
     source: CategoricalSource,
     spec: TypicalSetSpec,
@@ -290,6 +384,10 @@ def typical_set(
     n, alpha, eps = spec.n, spec.alpha, spec.epsilon
     if table is None:
         table = build_rank_table(source, n, budget)
+    elif table.n != n:
+        raise InvalidInput(f"the rank table holds length-{table.n} strings, the query asks n={n}")
+    if table.level_of is None:
+        raise InvalidInput("a typical set needs an i.i.d. rank table, one with type classes")
 
     p, lp, lq = _tilted_arrays(source, alpha)
     level = _cross_entropy(p, lq, n)  # cross-entropy level of the window
@@ -297,21 +395,21 @@ def typical_set(
     vx = _cross_varentropy(p, lq, n)
     dn = _relative_entropy(p, lp, lq, n)
 
-    logp = table.log_probs
-    # tilted word log-probs share the type-class bit pattern of logp
-    tilted_logp = alpha * logp - n * log_sum_exp(alpha * source.log_theta)
-
+    # Every set is a union of type classes, decided on the class levels; a
+    # class's tilted level has the bits of each member string's tilted log-prob.
+    levels, level_of, logp = table.levels, table.level_of, table.log_probs
+    tilted = alpha * levels - n * log_sum_exp(alpha * source.log_theta)
     logp_lo, logp_hi = -level - n * eps, -level + n * eps
-    a_mask = (logp > logp_lo) & (logp < logp_hi)
+    a_classes = np.flatnonzero((levels > logp_lo) & (levels < logp_hi))
     tilted_width = abs(alpha) * n * eps
-    d_mask = tilted_logp > -h_tilt - tilted_width
-    e_mask = tilted_logp < -h_tilt + tilted_width
+    d_classes = tilted > -h_tilt - tilted_width
+    e_classes = tilted < -h_tilt + tilted_width
+    d_mask = _strings_of(logp, levels, d_classes, upward=alpha > 0)
+    e_mask = _strings_of(logp, levels, e_classes, upward=alpha < 0)
 
+    a_mask = (logp > logp_lo) & (logp < logp_hi)
     a_idx = np.flatnonzero(a_mask)
-    # B: the floor(|A|/2) members of A least likely under the tilt,
-    # boundary ties resolved lexicographically.
-    a_by_tilted = a_idx[np.lexsort((a_idx, tilted_logp[a_idx]))]
-    b_idx = np.sort(a_by_tilted[: a_idx.size // 2])
+    b_idx = _least_tilted_half(a_idx, level_of.take(a_idx), a_classes, tilted)
 
     probs = np.exp(logp)
     prob_a = float(probs[a_mask].sum())
@@ -335,8 +433,8 @@ def typical_set(
 
     checks = [
         # membership window (log domain, strict on both sides)
-        _bound_over("member_logprob_lower", logp[a_idx], operator.gt, logp_lo),
-        _bound_over("member_logprob_upper", logp[a_idx], operator.lt, logp_hi),
+        _bound_over("member_logprob_lower", levels[a_classes], operator.gt, logp_lo),
+        _bound_over("member_logprob_upper", levels[a_classes], operator.lt, logp_hi),
         BoundCheck("set_size_lower", size_a, size_lo, size_a > size_lo, vacuous=weak),
         BoundCheck("set_size_upper", size_a, size_hi, size_a < size_hi),
         BoundCheck("set_prob_lower", prob_a, prob_lo, prob_a > prob_lo, vacuous=weak),
@@ -355,18 +453,22 @@ def typical_set(
             BoundCheck("inner_prob_cover", prob_d, 1.0 - prob_hi, prob_d >= 1.0 - prob_hi),
         ]
 
-    # rank implications: forward rank for positive orders, reverse for negative
+    # rank implications: forward rank for positive orders, reverse for negative;
+    # the ranks of each class run from `first` to `last`
+    first, last = _class_rank_spans(table)
+    b_rank = table.rank_of[b_idx]
     if alpha > 0:
-        rank, tag = table.rank_of, "guesswork"
+        tag = "guesswork"
     else:
-        rank, tag = table.size + 1 - table.rank_of, "reverse_guesswork"
+        tag, b_rank = "reverse_guesswork", table.size + 1 - b_rank
+        first, last = table.size + 1 - last, table.size + 1 - first
     checks += [
-        _bound_over(f"median_{tag}_lower", rank[b_idx], operator.gt, 0.5 * size_lo, weak),
-        _bound_over(f"inner_{tag}_upper", rank[d_mask], operator.le, size_hi),
+        _bound_over(f"median_{tag}_lower", b_rank, operator.gt, 0.5 * size_lo, weak),
+        _bound_over(f"inner_{tag}_upper", last[d_classes], operator.le, size_hi),
         # contrapositive of "rank below threshold puts the string in the inner set"
-        _bound_over(f"small_{tag}_in_inner", rank[~d_mask], operator.gt, size_lo, weak),
+        _bound_over(f"small_{tag}_in_inner", first[~d_classes], operator.gt, size_lo, weak),
         # contrapositive of "rank above threshold puts the string in the outer set"
-        _bound_over(f"large_{tag}_in_outer", rank[~e_mask], operator.le, size_hi),
+        _bound_over(f"large_{tag}_in_outer", last[~e_classes], operator.le, size_hi),
     ]
 
     return SetReport(

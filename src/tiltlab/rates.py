@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, DegenerateVariance, OutOfRange
+from .errors import BracketFailure, DegenerateVariance, InvalidInput, OutOfRange
 from .measures import _cross_entropy, _cross_varentropy, _relative_entropy, _tilted_arrays
 from .sources import CategoricalSource, validate
 
@@ -281,10 +281,10 @@ def rate_points(source: CategoricalSource, kind: str, ts) -> RateCurve:
     endpoint clamp applies.  All t are solved together.
     """
     if kind not in KINDS:
-        raise ValueError(f"unknown curve kind {kind!r}")
+        raise InvalidInput(f"unknown curve kind {kind!r}")
     ts = np.array(ts, dtype=np.float64)
     if ts.ndim != 1:
-        raise ValueError("ts must be one-dimensional")
+        raise InvalidInput("ts must be one-dimensional")
     alphas = _solve(source, kind, ts)
     rates = np.empty(ts.size)
     d1 = np.empty(ts.size)
@@ -311,8 +311,8 @@ def rate_points(source: CategoricalSource, kind: str, ts) -> RateCurve:
 def rate_curve(source: CategoricalSource, kind: str, n_samples: int = 201) -> RateCurve:
     """Sample the rate curve on a uniform interior grid of t."""
     if kind not in KINDS:
-        raise ValueError(f"unknown curve kind {kind!r}")
+        raise InvalidInput(f"unknown curve kind {kind!r}")
     if n_samples < 3:
-        raise ValueError("need at least 3 samples")
+        raise InvalidInput("need at least 3 samples")
     lo, hi = _domain(source, kind)
     return rate_points(source, kind, lo + (hi - lo) * np.arange(1, n_samples + 1) / (n_samples + 1))

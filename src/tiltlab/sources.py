@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     BoundaryViolation,
     BudgetExceeded,
+    InvalidInput,
     NotNormalized,
     SourceSpecError,
     TieViolation,
@@ -356,7 +357,7 @@ def _hmm_forward(source: HiddenMarkovSource, levels) -> np.ndarray:
 def _require_length(n: int) -> None:
     """The one rule for a string length: n >= 1."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidInput("n must be >= 1")
 
 
 def require_budget(alphabet_size: int, n: int, budget: int) -> None:

@@ -1,10 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
 import tiltlab as tl
 from tiltlab import approx as ax
+from tiltlab import measures as ms
+from tiltlab import rates as rt
 from tiltlab.cli import main
+from tiltlab.errors import InvalidInput
+from tiltlab.sources import _require_length
 
 
 @pytest.fixture()
@@ -101,6 +106,38 @@ class TestMeasuresCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "tiltlab: config error: n must be >= 1\n"
+
+    def test_internal_value_error_is_not_a_config_error(self, capsys, monkeypatch, s2_path):
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(ms, "measure_bundle", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            run("measures", "--source", s2_path, "--n", "2")
+        assert "config error" not in capsys.readouterr().err
+
+
+S3 = tl.load_source(tl.builtin_spec_path("s3"))
+
+INPUT_RULES = {
+    "length": lambda: _require_length(0),
+    "typical order": lambda: tl.TypicalSetSpec(alpha=0.0, epsilon=0.1, n=2),
+    "typical width": lambda: tl.TypicalSetSpec(alpha=1.0, epsilon=0.0, n=2),
+    "grid holds 0": lambda: ax._sweep_grid(S3, 2, [-1.0, 0.0, 1.0]),
+    "grid of one sign": lambda: ax._sweep_grid(S3, 2, [1.0, 2.0]),
+    "negative orders on zero words": lambda: list(ax._tilted_word_stats(
+        np.array([-np.inf, 0.0]), np.array([-1.0, 1.0]))),
+    "rate kind": lambda: rt.rate_points(S3, "g", [0.5]),
+    "rate grid shape": lambda: rt.rate_points(S3, "forward_g", [[0.5]]),
+    "curve kind": lambda: rt.rate_curve(S3, "g"),
+    "sample count": lambda: rt.rate_curve(S3, "forward_g", n_samples=2),
+}
+
+
+@pytest.mark.parametrize("rule", INPUT_RULES.values(), ids=INPUT_RULES.keys())
+def test_input_rules_raise_invalid_input(rule):
+    with pytest.raises(InvalidInput):
+        rule()
 
 
 class TestTypicalCommand:

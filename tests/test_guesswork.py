@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import tiltlab as tl
 from tiltlab import guesswork as gw
-from tiltlab.errors import BudgetExceeded, UnknownString
+from tiltlab.errors import BudgetExceeded, InvalidInput, UnknownString
 from tiltlab.guesswork import TIE_TOL_PER_SYMBOL
 
 from conftest import categorical_sources
@@ -204,6 +204,16 @@ class TestTypicalSet:
             )
             covered[report.a_members] = True
         assert covered.all()
+
+    def test_table_of_another_length_is_rejected(self, s3):
+        with pytest.raises(InvalidInput, match="length-8"):
+            tl.typical_set(s3, tl.TypicalSetSpec(1.0, 0.1, 6), table=tl.build_rank_table(s3, 8))
+
+    def test_table_without_type_classes_is_rejected(self, s3, s3_markov):
+        table = tl.build_rank_table(s3_markov, 6)
+        assert table.levels is None and table.level_of is None
+        with pytest.raises(InvalidInput, match="type classes"):
+            tl.typical_set(s3, tl.TypicalSetSpec(1.0, 0.1, 6), table=table)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
