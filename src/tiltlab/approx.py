@@ -149,8 +149,8 @@ def _sweep_grid(
     grid = np.asarray(
         default_alpha_grid() if alpha_grid is None else alpha_grid, dtype=np.float64
     )
-    if np.any(grid == 0):
-        raise InvalidInput("alpha grid must exclude 0")
+    if not np.all(np.isfinite(grid) & (grid != 0)):
+        raise InvalidInput("alpha grid must be finite and exclude 0")
     if not (np.any(grid > 0) and np.any(grid < 0)):
         raise InvalidInput("alpha grid must cover both signs")
     _require_length(n)

@@ -44,23 +44,20 @@ def _tie_group_ids(descending: np.ndarray, tie_tol: float) -> np.ndarray:
     return np.cumsum(starts)
 
 
-def _rank_order(
-    levels: np.ndarray, level_of: Optional[np.ndarray], tie_tol: float
-) -> np.ndarray:
+def _rank_order(levels: np.ndarray, level_of: np.ndarray, tie_tol: float) -> np.ndarray:
     """Lexicographic string indices sorted by (tie group, lex index).
 
     `levels` are the log-prob levels and `level_of` maps each string to its
-    level (None when there is one level per string).  Tie groups are found
-    on the levels sorted once; each string then gets its level's group as a
-    small integer key, and one stable sort on that key leaves every group's
-    strings in lexicographic order, which is the tie-break.
+    level; equal levels may repeat.  Tie groups are found on the levels
+    sorted once; each string then gets its level's group as a small integer
+    key, and one stable sort on that key leaves every group's strings in
+    lexicographic order, which is the tie-break.
     """
     by_level = np.argsort(-levels)  # order among equal levels does not matter
     ids = _tie_group_ids(levels[by_level], tie_tol)
     group = np.empty(levels.size, dtype=np.min_scalar_type(ids[-1]))
     group[by_level] = ids
-    key = group if level_of is None else group[level_of]
-    return np.argsort(key, kind="stable")
+    return np.argsort(group[level_of], kind="stable")
 
 
 #: rows decoded at a time by `RankTable.records`
@@ -99,10 +96,11 @@ class RankTable:
     (lexicographic tie-break); R = |alphabet|^n + 1 - G, so the least likely
     string has R = 1 and log R stays finite.
 
-    An i.i.d. table also keeps its type classes: `levels` holds the log-prob
-    of each class and `level_of` the class of each lexicographic string
-    index, so `log_probs` is `levels[level_of]` bit for bit.  Both are None
-    for Markov and hidden Markov tables, whose strings have no classes.
+    The table also keeps its log-prob levels: `level_of` maps each
+    lexicographic string index to its level in `levels`, so `log_probs` is
+    `levels[level_of]` bit for bit.  An i.i.d. table's levels are its type
+    classes' log-probs (two classes may share a value); a Markov or hidden
+    Markov table's are the distinct bit patterns of its strings' log-probs.
     """
 
     source: SequenceSource
@@ -110,8 +108,8 @@ class RankTable:
     log_probs: np.ndarray  # indexed by lexicographic string index
     order: np.ndarray  # rank - 1  -> lexicographic string index
     rank_of: np.ndarray  # lexicographic string index -> G
-    levels: Optional[np.ndarray] = None  # log-prob per type class
-    level_of: Optional[np.ndarray] = None  # lexicographic string index -> type class
+    levels: np.ndarray  # log-prob per level (per type class for an i.i.d. table)
+    level_of: np.ndarray  # lexicographic string index -> level
 
     @property
     def size(self) -> int:
@@ -147,16 +145,14 @@ class RankTable:
 
     def pmf(self) -> np.ndarray:
         """Probability at each rank; pmf()[r - 1] is the rank-r probability."""
-        if self.level_of is None:
-            return np.exp(self.log_probs[self.order])
-        run_classes, run_lengths = self._class_runs()
-        return np.repeat(np.exp(self.levels[run_classes]), run_lengths)
+        run_levels, run_lengths = self._level_runs()
+        return np.repeat(np.exp(self.levels[run_levels]), run_lengths)
 
-    def _class_runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The class and the length of each run of equal type classes in rank order."""
-        classes = self.level_of[self.order]
-        starts = np.flatnonzero(classes[1:] != classes[:-1]) + 1
-        return classes[np.r_[0, starts]], np.diff(starts, prepend=0, append=classes.size)
+    def _level_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The level and the length of each run of equal levels in rank order."""
+        ranked = self.level_of[self.order]
+        starts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+        return ranked[np.r_[0, starts]], np.diff(starts, prepend=0, append=ranked.size)
 
     def records(self) -> Iterator[tuple[str, float, int, int]]:
         """(string, log-prob, G, R) rows in rank order."""
@@ -171,18 +167,16 @@ class RankTable:
     def tie_groups(self) -> np.ndarray:
         """Group id per rank position; equal ids mean tied probabilities.
 
-        Groups chain the rank-ordered log-probs, so near-equal classes whose
+        Groups chain the rank-ordered log-probs, so near-equal levels whose
         strings interleave in lexicographic order can split a block that the
         build ordered as one (ROADMAP item 9 has the fix, which moves a
-        benchmark digest).  An i.i.d. table walks the runs of equal classes
-        in rank order: a group can start only where the class changes, and
-        there the gap between the two class levels decides it.
+        benchmark digest).  The walk is over the runs of equal levels in rank
+        order: a group can start only where the level changes, and there the
+        gap between the two levels decides it, as it does string by string.
         """
+        run_levels, run_lengths = self._level_runs()
         tie_tol = TIE_TOL_PER_SYMBOL * self.n
-        if self.level_of is None:
-            return _tie_group_ids(self.log_probs[self.order], tie_tol)
-        run_classes, run_lengths = self._class_runs()
-        return np.repeat(_tie_group_ids(self.levels[run_classes], tie_tol), run_lengths)
+        return np.repeat(_tie_group_ids(self.levels[run_levels], tie_tol), run_lengths)
 
 
 def build_rank_table(
@@ -190,21 +184,19 @@ def build_rank_table(
 ) -> RankTable:
     """Enumerate all length-n strings and assign optimal/reverse ranks.
 
-    For an i.i.d. source only the C(n+k-1, k-1) type-class levels are sorted
-    and grouped; every string's log-prob and tie-group key are gathers from
-    its class, and the table keeps the classes (`levels`, `level_of`).
-    Markov and hidden Markov strings are grouped on their own log-probs.
-    One stable sort on the integer group key then gives the rank order.
+    Only the levels (`_word_levels`) are sorted and grouped: the
+    C(n+k-1, k-1) type classes of an i.i.d. source, the distinct log-prob
+    bit patterns of a Markov or hidden Markov one.  Every string's log-prob
+    and tie-group key are gathers from its level, and one stable sort on the
+    integer group key gives the rank order.
     """
-    logp, levels, level_of = _word_levels(source, n, budget)
+    levels, level_of = _word_levels(source, n, budget)
+    logp = levels[level_of]
     order = _rank_order(levels, level_of, TIE_TOL_PER_SYMBOL * n)
     rank_of = np.empty(logp.size, dtype=np.int64)
     rank_of[order] = np.arange(1, logp.size + 1)
-    if level_of is None:
-        levels = None
     for arr in (logp, order, rank_of, levels, level_of):
-        if arr is not None:
-            arr.setflags(write=False)
+        arr.setflags(write=False)
     return RankTable(source=source, n=n, log_probs=logp, order=order, rank_of=rank_of,
                      levels=levels, level_of=level_of)
 
@@ -236,10 +228,10 @@ class TypicalSetSpec:
     n: int
 
     def __post_init__(self):
-        if self.alpha == 0:
-            raise InvalidInput("alpha must be non-zero")
-        if not self.epsilon > 0:
-            raise InvalidInput("epsilon must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha != 0):
+            raise InvalidInput("alpha must be non-zero and finite")
+        if not 0 < self.epsilon < math.inf:
+            raise InvalidInput("epsilon must be positive and finite")
         _require_length(self.n)
 
 
@@ -379,15 +371,17 @@ def typical_set(
     table: Optional[RankTable] = None,
 ) -> SetReport:
     """Build the typical set of the requested order and evaluate its bounds;
-    an upper threshold beyond the float range is inf, so its bounds pass."""
+    an upper threshold beyond the float range is inf, so its bounds pass.
+    A given `table` must be built for n and for `source` by value."""
     validate(source)
     n, alpha, eps = spec.n, spec.alpha, spec.epsilon
     if table is None:
         table = build_rank_table(source, n, budget)
     elif table.n != n:
         raise InvalidInput(f"the rank table holds length-{table.n} strings, the query asks n={n}")
-    if table.level_of is None:
-        raise InvalidInput("a typical set needs an i.i.d. rank table, one with type classes")
+    elif not (isinstance(table.source, CategoricalSource) and table.source.alphabet == source.alphabet
+              and table.source.theta.tobytes() == source.theta.tobytes()):
+        raise InvalidInput("the rank table was built for another source")
 
     p, lp, lq = _tilted_arrays(source, alpha)
     level = _cross_entropy(p, lq, n)  # cross-entropy level of the window

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -165,6 +165,8 @@ def tilt(source: CategoricalSource, alpha: float) -> CategoricalSource:
 def _tilted_theta(source: CategoricalSource, alpha: float) -> np.ndarray:
     """The probability array of the order-alpha tilt, which `tilt` wraps in a
     source: the source's own array at alpha=1, the uniform array at alpha=0."""
+    if not math.isfinite(alpha):
+        raise InvalidInput(f"tilt order {alpha} must be finite")
     if alpha == 1.0:
         return source.theta
     if alpha == 0.0:
@@ -361,6 +363,8 @@ def _require_length(n: int) -> None:
 
 
 def require_budget(alphabet_size: int, n: int, budget: int) -> None:
+    """n >= 1, and at most `budget` strings of length n."""
+    _require_length(n)
     if alphabet_size**n > budget:
         raise BudgetExceeded(
             f"{alphabet_size}^{n} strings exceed the enumeration budget {budget}"
@@ -382,27 +386,28 @@ def enumerate_word_log_probs(
     vector per prefix (`_hmm_forward`).  `string_log_prob` runs the same class
     rule and the same two recursions on one string.
     """
-    return _word_levels(source, n, budget)[0]
-
-
-def _word_levels(
-    source: SequenceSource, n: int, budget: int
-) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """(per-string log-probs, levels, level_of) for all length-n strings.
-
-    For i.i.d. sources `levels` holds one log-prob per type class and
-    `level_of` maps each lexicographic string index to its class.  For Markov
-    and hidden Markov sources the levels are the per-string log-probs and
-    `level_of` is None.  The budget is checked before anything is allocated.
-    """
-    _require_length(n)
     require_budget(len(source.alphabet), n, budget)
     if isinstance(source, CategoricalSource):
         levels, level_of = _type_classes(source, n)
-        return levels[level_of], levels, level_of
+        return levels[level_of]
+    return _forward(source)(source, [slice(None)] * n)
 
-    logp = _forward(source)(source, [slice(None)] * n)
-    return logp, logp, None
+
+def _word_levels(source: SequenceSource, n: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, level_of) of all length-n strings: `level_of` maps each
+    lexicographic string index to its level, and `levels[level_of]` is
+    `enumerate_word_log_probs` bit for bit.
+
+    For i.i.d. sources the levels are the type classes' log-probs.  For
+    Markov and hidden Markov sources they are the distinct bit patterns of
+    the enumerated log-probs, and `level_of` takes the smallest integer type.
+    """
+    if isinstance(source, CategoricalSource):
+        require_budget(len(source.alphabet), n, budget)
+        return _type_classes(source, n)
+    logp = enumerate_word_log_probs(source, n, budget)
+    bits, level_of = np.unique(logp.view(np.int64), return_inverse=True)
+    return bits.view(np.float64), level_of.astype(np.min_scalar_type(bits.size - 1))
 
 
 def _type_classes(source: CategoricalSource, n: int) -> tuple[np.ndarray, np.ndarray]:

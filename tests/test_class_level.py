@@ -1,8 +1,11 @@
-"""Type-class readers of an i.i.d. rank table against the per-string rules.
+"""Level readers of a rank table against the per-string rules.
 
-`RankTable.tie_groups()`, `pmf()` and `typical_set` read the classes
-(`levels`, `level_of`) of an i.i.d. table; each must give the bits that the
-per-string log-probs in rank order give.
+`RankTable.tie_groups()` and `pmf()` read the levels (`levels`, `level_of`)
+of every table, and `typical_set` reads an i.i.d. table's levels, its type
+classes; each must give the bits that the per-string log-probs in rank order
+give.  A Markov or hidden Markov table's levels are the distinct bit
+patterns of its strings' log-probs, so its build must also keep the
+reference rank order and the enumerated log-prob bits.
 """
 import math
 
@@ -16,7 +19,8 @@ from tiltlab.errors import TiltlabError
 from tiltlab.guesswork import TIE_TOL_PER_SYMBOL, _tie_group_ids
 
 import reference_ledger as ref
-from reference_rank_table import reference_tie_groups
+from conftest import random_hmm, random_markov
+from reference_rank_table import reference_rank_table, reference_tie_groups
 from test_ledger_oracle import check_against_reference, report_key
 
 #: largest table a drawn source builds
@@ -55,8 +59,19 @@ def assert_class_readers_match_strings(table):
     np.testing.assert_array_equal(pmf.view(np.int64), np.exp(sorted_logp).view(np.int64))
 
 
+def assert_chain_table_matches_strings(source, n):
+    table = tl.build_rank_table(source, n)
+    logp, _, rank_of, _ = reference_rank_table(source, n)
+    np.testing.assert_array_equal(table.rank_of, rank_of)
+    np.testing.assert_array_equal(table.log_probs.view(np.int64), logp.view(np.int64))
+    np.testing.assert_array_equal(table.levels[table.level_of].view(np.int64), logp.view(np.int64))
+    assert np.unique(table.levels.view(np.int64)).size == table.levels.size
+    assert_class_readers_match_strings(table)
+    return table
+
+
 def interleaved_classes(table):
-    """Whether some tie group holds two classes whose strings alternate in rank order."""
+    """Whether some tie group holds two levels whose strings alternate in rank order."""
     classes = table.level_of[table.order]
     groups = table.tie_groups()
     runs = np.flatnonzero(np.r_[True, classes[1:] != classes[:-1]])
@@ -83,6 +98,37 @@ def test_interleaved_and_infinite_levels(theta, n):
     table = tl.build_rank_table(tl.CategoricalSource(tl.letters(len(theta)), theta), n)
     assert_class_readers_match_strings(table)
     assert interleaved_classes(table) or not np.isfinite(table.levels).all()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("name", ["s3_markov", "s3_hmm"])
+def test_shipped_chain_tables_match_the_per_string_rules(name, n):
+    assert_chain_table_matches_strings(tl.load_source(tl.builtin_spec_path(name)), n)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("make", [random_markov, random_hmm])
+def test_random_chain_tables_match_the_per_string_rules(make, seed):
+    source = make(seed)
+    n = int(math.log(MAX_STRINGS) / math.log(len(source.alphabet)))
+    table = assert_chain_table_matches_strings(source, n)
+    # zero transitions give every random Markov table -inf levels
+    assert make is random_hmm or not np.isfinite(table.levels).all()
+
+
+def test_chain_levels_one_ulp_apart_interleave(s3_markov):
+    # two distinct levels one ulp apart, in one tie group, whose strings
+    # alternate in rank order: the level walk must keep them one group
+    table = assert_chain_table_matches_strings(s3_markov, 8)
+    idx = [table.index_of(x) for x in ("bbcbaaaa", "bcaaaacb", "bcbbaaaa")]
+    ranks = table.rank_of[idx]
+    np.testing.assert_array_equal(np.diff(ranks), [1, 1])
+    first, middle, last = table.level_of[idx]
+    assert first == last != middle
+    bits = table.levels[[first, middle]].view(np.int64)
+    assert abs(int(bits[0]) - int(bits[1])) == 1
+    assert len(set(table.tie_groups()[ranks - 1].tolist())) == 1
+    assert interleaved_classes(table)
 
 
 def test_s77_tie_groups_split_blocks_the_build_ordered_as_one():

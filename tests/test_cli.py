@@ -140,6 +140,41 @@ def test_input_rules_raise_invalid_input(rule):
         rule()
 
 
+S3_PATH = str(tl.builtin_spec_path("s3"))
+S3_MARKOV_PATH = str(tl.builtin_spec_path("s3_markov"))
+
+NON_FINITE_INPUTS = {
+    "measures order": (
+        ("measures", "--source", S3_PATH, "--n", "2", "--alpha", "nan"),
+        "tilt order nan must be finite",
+    ),
+    "tilt grid": (("tilt", "--source", S3_PATH, "--alpha-grid", "nan"), "tilt order nan must be finite"),
+    "approx grid, words": (
+        ("approx", "--source", S3_MARKOV_PATH, "--n", "4", "--alpha-grid", "nan,1,-1"),
+        "alpha grid must be finite and exclude 0",
+    ),
+    "approx grid, i.i.d.": (
+        ("approx", "--source", S3_PATH, "--n", "4", "--alpha-grid", "inf,1,-1"),
+        "alpha grid must be finite and exclude 0",
+    ),
+    "typical order": (
+        ("typical", "--source", S3_PATH, "--n", "4", "--alpha", "nan", "--epsilon", "0.1"),
+        "alpha must be non-zero and finite",
+    ),
+    "typical width": (
+        ("typical", "--source", S3_PATH, "--n", "4", "--alpha", "1", "--epsilon", "inf"),
+        "epsilon must be positive and finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", NON_FINITE_INPUTS.values(), ids=NON_FINITE_INPUTS.keys())
+def test_non_finite_orders_and_widths_exit_2(tmp_path, capsys, argv, message):
+    assert run(*argv, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"tiltlab: config error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
 class TestTypicalCommand:
     def test_members_and_bounds(self, tmp_path, s3_path):
         out = tmp_path / "typ.csv"

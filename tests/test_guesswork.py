@@ -210,10 +210,24 @@ class TestTypicalSet:
             tl.typical_set(s3, tl.TypicalSetSpec(1.0, 0.1, 6), table=tl.build_rank_table(s3, 8))
 
     def test_table_without_type_classes_is_rejected(self, s3, s3_markov):
-        table = tl.build_rank_table(s3_markov, 6)
-        assert table.levels is None and table.level_of is None
-        with pytest.raises(InvalidInput, match="type classes"):
-            tl.typical_set(s3, tl.TypicalSetSpec(1.0, 0.1, 6), table=table)
+        # a Markov table has levels too, but they are no type classes of s3
+        with pytest.raises(InvalidInput, match="another source"):
+            tl.typical_set(s3, tl.TypicalSetSpec(1.0, 0.1, 6), table=tl.build_rank_table(s3_markov, 6))
+
+    def test_table_of_another_source_is_rejected(self, s3):
+        other = tl.CategoricalSource(s3.alphabet, [0.1, 0.3, 0.6])
+        with pytest.raises(InvalidInput, match="another source"):
+            tl.typical_set(s3, tl.TypicalSetSpec(1.0, 0.1, 6), table=tl.build_rank_table(other, 6))
+
+    def test_table_of_a_reloaded_spec_is_accepted(self, s3):
+        spec = tl.TypicalSetSpec(1.0, 0.1, 6)
+        reloaded = tl.load_source(tl.builtin_spec_path("s3"))
+        assert reloaded is not s3
+        report = tl.typical_set(s3, spec, table=tl.build_rank_table(reloaded, 6))
+        expected = tl.typical_set(s3, spec)
+        assert report.size == expected.size == 266
+        assert report.probability == expected.probability
+        assert [b.lhs for b in report.bounds] == [b.lhs for b in expected.bounds]
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
