@@ -83,6 +83,7 @@ def approx_guesswork(
         if alphabet_size is None:
             raise ValueError("reverse branch needs alphabet_size")
         try:
+            float(alphabet_size) ** measures.n  # overflows before a huge exact k^n is built
             return alphabet_size**measures.n + 1 - r
         except OverflowError:
             raise _beyond_float_range(alphabet_size, measures.n) from None

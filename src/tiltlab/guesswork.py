@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import AlphabetMismatch, InvalidInput, UnknownString, UnknownSymbol
+from .errors import AlphabetMismatch, InvalidInput, OutOfRange, UnknownString, UnknownSymbol
 from .measures import _cross_entropy, _cross_varentropy, _relative_entropy, _tilted_arrays
 from .numeric import _exp_or_inf, log_sum_exp
 from .sources import (
@@ -186,12 +186,11 @@ def build_rank_table(
 
     Only the levels (`_word_levels`) are sorted and grouped: the
     C(n+k-1, k-1) type classes of an i.i.d. source, the distinct log-prob
-    bit patterns of a Markov or hidden Markov one.  Every string's log-prob
-    and tie-group key are gathers from its level, and one stable sort on the
-    integer group key gives the rank order.
+    bit patterns of a Markov or hidden Markov one.  The table keeps the
+    log-probs `_word_levels` gives; every string's tie-group key is a gather
+    from its level, and one stable sort on that integer key gives the rank order.
     """
-    levels, level_of = _word_levels(source, n, budget)
-    logp = levels[level_of]
+    logp, levels, level_of = _word_levels(source, n, budget)
     order = _rank_order(levels, level_of, TIE_TOL_PER_SYMBOL * n)
     rank_of = np.empty(logp.size, dtype=np.int64)
     rank_of[order] = np.arange(1, logp.size + 1)
@@ -303,20 +302,21 @@ def _bound_over(bound_id: str, values: np.ndarray, holds, rhs: float, vacuous=Fa
     return BoundCheck(bound_id, lhs, rhs, holds(lhs, rhs), vacuous)
 
 
-def _strings_of(logp: np.ndarray, levels: np.ndarray, chosen: np.ndarray, upward: bool):
-    """Per-string mask of the classes that `chosen` marks, a set of classes
-    closed upward (or downward) in level.
-
-    A threshold on the tilted level marks such a set: alpha * level - c is
-    monotone in the level, and so is its rounding.  One comparison of the
-    per-string log-probs against the lowest (highest) marked level then
-    gives the mask.
+def _strings_of(logp: np.ndarray, levels: np.ndarray, chosen: np.ndarray):
+    """Per-string mask of the classes that `chosen` marks, an interval of
+    levels (A is a window on the level, D and E are thresholds on the tilted
+    level, which rounds monotonically in it): the strings whose log-prob lies
+    between its least and greatest level, none for an empty set.  An end of
+    the level range excludes no string, so it is not compared.
     """
     if not chosen.any():
         return np.zeros(logp.size, dtype=bool)
-    if upward:
-        return logp >= levels[chosen].min()
-    return logp <= levels[chosen].max()
+    lo, hi = levels[chosen].min(), levels[chosen].max()
+    if hi == levels.max():
+        return logp >= lo
+    if lo == levels.min():
+        return logp <= hi
+    return (logp >= lo) & (logp <= hi)
 
 
 def _class_rank_spans(table: RankTable) -> tuple[np.ndarray, np.ndarray]:
@@ -382,6 +382,13 @@ def typical_set(
     elif not (isinstance(table.source, CategoricalSource) and table.source.alphabet == source.alphabet
               and table.source.theta.tobytes() == source.theta.tobytes()):
         raise InvalidInput("the rank table was built for another source")
+    # Every set is a union of type classes, decided on the class levels; a
+    # class's tilted level has the bits of each member string's tilted log-prob.
+    levels, level_of, logp = table.levels, table.level_of, table.log_probs
+    with np.errstate(over="ignore", invalid="ignore"):
+        tilted = alpha * levels - n * log_sum_exp(alpha * source.log_theta)
+    if not np.isfinite(tilted).all():
+        raise OutOfRange(f"tilt order {alpha} overflows the tilted log-probs at n={n}")
 
     p, lp, lq = _tilted_arrays(source, alpha)
     level = _cross_entropy(p, lq, n)  # cross-entropy level of the window
@@ -389,19 +396,12 @@ def typical_set(
     vx = _cross_varentropy(p, lq, n)
     dn = _relative_entropy(p, lp, lq, n)
 
-    # Every set is a union of type classes, decided on the class levels; a
-    # class's tilted level has the bits of each member string's tilted log-prob.
-    levels, level_of, logp = table.levels, table.level_of, table.log_probs
-    tilted = alpha * levels - n * log_sum_exp(alpha * source.log_theta)
     logp_lo, logp_hi = -level - n * eps, -level + n * eps
-    a_classes = np.flatnonzero((levels > logp_lo) & (levels < logp_hi))
+    a_classes = (levels > logp_lo) & (levels < logp_hi)
     tilted_width = abs(alpha) * n * eps
     d_classes = tilted > -h_tilt - tilted_width
     e_classes = tilted < -h_tilt + tilted_width
-    d_mask = _strings_of(logp, levels, d_classes, upward=alpha > 0)
-    e_mask = _strings_of(logp, levels, e_classes, upward=alpha < 0)
-
-    a_mask = (logp > logp_lo) & (logp < logp_hi)
+    a_mask, d_mask, e_mask = (_strings_of(logp, levels, c) for c in (a_classes, d_classes, e_classes))
     a_idx = np.flatnonzero(a_mask)
     b_idx = _least_tilted_half(a_idx, level_of.take(a_idx), a_classes, tilted)
 

@@ -336,23 +336,22 @@ def _hmm_forward(source: HiddenMarkovSource, levels) -> np.ndarray:
     """Scaled forward recursion: the log-prob of every word whose j-th symbol
     runs over the emission rows `levels[j]` selects, in lexicographic order.
 
-    Each level propagates every prefix's normalized state vector (the start
-    distribution at the first level), multiplies in each selected emission
-    and adds the log of the sum.  A slice (all symbols) keeps `emission.T` a
-    column-major view, which sets the first level's summation order bit for bit.
+    Each level multiplies each selected emission into every prefix's state
+    vector (the start distribution at the first level) and adds the log of
+    the sum; only a state that a next level propagates is normalized by it.
+    A slice (all symbols) keeps `emission.T` a column-major view, which sets
+    the first level's summation order bit for bit.
     """
     emission_t = source.emission.T  # (symbols, states)
-    logp = np.zeros(1)
-    forward = None
-    for symbols in levels:
+    logp, prior = np.zeros(1), source.initial[None, :]
+    for j, symbols in enumerate(levels, 1):
         emit = emission_t[symbols]
-        prior = source.initial[None, :] if forward is None else forward @ source.transition
         forward = (prior[:, None, :] * emit[None, :, :]).reshape(-1, source.n_states)
         scale = forward.sum(axis=1)
-        safe = np.where(scale > 0, scale, 1.0)
         with np.errstate(divide="ignore"):
-            logp = np.repeat(logp, len(emit)) + np.where(scale > 0, np.log(safe), -np.inf)
-        forward = forward / safe[:, None]
+            logp = np.repeat(logp, len(emit)) + np.log(scale)
+        if j < len(levels):
+            prior = (forward / np.where(scale > 0, scale, 1.0)[:, None]) @ source.transition
     return logp
 
 
@@ -365,7 +364,7 @@ def _require_length(n: int) -> None:
 def require_budget(alphabet_size: int, n: int, budget: int) -> None:
     """n >= 1, and at most `budget` strings of length n."""
     _require_length(n)
-    if alphabet_size**n > budget:
+    if n >= budget.bit_length() or alphabet_size**n > budget:  # k >= 2: 2^n <= k^n
         raise BudgetExceeded(
             f"{alphabet_size}^{n} strings exceed the enumeration budget {budget}"
         )
@@ -376,38 +375,35 @@ def enumerate_word_log_probs(
 ) -> np.ndarray:
     """Log-probability of every length-n string, in lexicographic order.
 
-    For i.i.d. sources the value is gathered from the log-prob of the
-    string's type class, so strings with equal symbol counts get bit-identical
-    values (that is what makes probability ties exact).  There are only
-    C(n+k-1, k-1) classes for k symbols; each class log-prob is accumulated
-    in alphabet order as 0.0, then += count * log theta, and a zero count
-    adds no term.  Markov strings extend prefix log-probs one transition at a
-    time (`_markov_forward`); hidden Markov strings carry a scaled forward
-    vector per prefix (`_hmm_forward`).  `string_log_prob` runs the same class
-    rule and the same two recursions on one string.
+    For i.i.d. sources the value is gathered from the string's type class
+    log-prob (`_word_levels`), so strings with equal symbol counts get
+    bit-identical values (that is what makes probability ties exact).  Markov
+    strings extend prefix log-probs one transition at a time (`_markov_forward`);
+    hidden Markov strings carry a scaled forward vector per prefix
+    (`_hmm_forward`).  `string_log_prob` runs the same rules on one string.
     """
-    require_budget(len(source.alphabet), n, budget)
     if isinstance(source, CategoricalSource):
-        levels, level_of = _type_classes(source, n)
-        return levels[level_of]
+        return _word_levels(source, n, budget)[0]
+    require_budget(len(source.alphabet), n, budget)
     return _forward(source)(source, [slice(None)] * n)
 
 
-def _word_levels(source: SequenceSource, n: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """(levels, level_of) of all length-n strings: `level_of` maps each
-    lexicographic string index to its level, and `levels[level_of]` is
-    `enumerate_word_log_probs` bit for bit.
+def _word_levels(source: SequenceSource, n: int, budget: int) -> tuple[np.ndarray, ...]:
+    """(log_probs, levels, level_of) of all length-n strings: `log_probs` is
+    `enumerate_word_log_probs`, and `levels[level_of]` is it bit for bit.
 
-    For i.i.d. sources the levels are the type classes' log-probs.  For
-    Markov and hidden Markov sources they are the distinct bit patterns of
-    the enumerated log-probs, and `level_of` takes the smallest integer type.
+    For i.i.d. sources the levels are the type classes' log-probs (0.0, then
+    += count * log theta in alphabet order, skipping zero counts), gathered
+    into `log_probs`; for (hidden) Markov sources, the distinct bit patterns
+    of the enumerated `log_probs`.  `level_of` takes the smallest integer type.
     """
     if isinstance(source, CategoricalSource):
         require_budget(len(source.alphabet), n, budget)
-        return _type_classes(source, n)
+        levels, level_of = _type_classes(source, n)
+        return levels[level_of], levels, level_of
     logp = enumerate_word_log_probs(source, n, budget)
     bits, level_of = np.unique(logp.view(np.int64), return_inverse=True)
-    return bits.view(np.float64), level_of.astype(np.min_scalar_type(bits.size - 1))
+    return logp, bits.view(np.float64), level_of.astype(np.min_scalar_type(bits.size - 1))
 
 
 def _type_classes(source: CategoricalSource, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,7 @@ from . import guesswork as gw
 from . import measures as ms
 from . import rates as rt
 from . import sources as src
+from .errors import InvalidInput
 
 IDENTITY_TOL = 1e-10
 DERIVATIVE_H = 1e-5
@@ -53,6 +54,8 @@ def _shipped(name: str) -> src.SequenceSource:
 def random_sources(seed: int, count: int) -> list[src.CategoricalSource]:
     """Seeded random sources, kept clearly inside the open simplex with
     unambiguous extremes so identity tolerances are meaningful."""
+    if seed < 0:
+        raise InvalidInput(f"seed must be a non-negative integer, not {seed}")
     rng = np.random.default_rng(seed)
     out: list[src.CategoricalSource] = []
     while len(out) < count:

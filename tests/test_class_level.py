@@ -66,6 +66,7 @@ def assert_chain_table_matches_strings(source, n):
     np.testing.assert_array_equal(table.log_probs.view(np.int64), logp.view(np.int64))
     np.testing.assert_array_equal(table.levels[table.level_of].view(np.int64), logp.view(np.int64))
     assert np.unique(table.levels.view(np.int64)).size == table.levels.size
+    assert not any(a.flags.writeable for a in (table.log_probs, table.levels, table.level_of))
     assert_class_readers_match_strings(table)
     return table
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from tiltlab import measures as ms
 from tiltlab import rates as rt
 from tiltlab.cli import main
 from tiltlab.errors import InvalidInput
-from tiltlab.sources import _require_length
+from tiltlab.sources import DEFAULT_BUDGET, _require_length
 
 
 @pytest.fixture()
@@ -175,6 +176,15 @@ def test_non_finite_orders_and_widths_exit_2(tmp_path, capsys, argv, message):
     assert not list(tmp_path.iterdir())
 
 
+def test_a_huge_n_is_rejected_without_building_k_to_the_n(capsys):
+    start = time.perf_counter()
+    assert run("guesswork", "--source", S3_PATH, "--n", "30000000") == 1
+    assert time.perf_counter() - start < 1.0  # building 3^30000000 takes about 27 s
+    assert capsys.readouterr().err == (
+        f"tiltlab: 3^30000000 strings exceed the enumeration budget {DEFAULT_BUDGET}\n"
+    )
+
+
 class TestTypicalCommand:
     def test_members_and_bounds(self, tmp_path, s3_path):
         out = tmp_path / "typ.csv"
@@ -200,6 +210,14 @@ class TestTypicalCommand:
         assert capsys.readouterr().err == ""
         bounds = (tmp_path / "typ_bounds.csv").read_text().splitlines()
         assert "set_size_lower,0,-inf,vacuous-pass" in bounds
+
+    def test_order_beyond_the_float_range_of_the_tilted_levels_exits_1(self, tmp_path, capsys):
+        argv = ("typical", "--source", S3_PATH, "--n", "4", "--alpha", "1e308", "--epsilon", "0.1")
+        assert run(*argv, "--out", str(tmp_path / "typ.csv")) == 1
+        assert capsys.readouterr().err == (
+            "tiltlab: tilt order 1e+308 overflows the tilted log-probs at n=4\n"
+        )
+        assert not list(tmp_path.iterdir())
 
 
 class TestRateCommand:
@@ -258,6 +276,13 @@ class TestVerifyCommand:
         failing = [c["name"] for c in payload["checks"] if not c["passed"]]
         assert failing == ["markov_hmm_concordance"]
         assert code == 3
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        assert run("verify", "--seed", "-1", "--out", str(tmp_path / "verify.json")) == 2
+        assert capsys.readouterr().err == (
+            "tiltlab: config error: seed must be a non-negative integer, not -1\n"
+        )
+        assert not list(tmp_path.iterdir())
 
 
 def test_unknown_command_exits_2(capsys):

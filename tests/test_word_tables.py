@@ -1,0 +1,102 @@
+"""Word tables without dead work, and the input rules that guard them.
+
+`_word_levels` hands `build_rank_table` the log-probs it enumerated (chain
+sources) or gathered once from the type classes (i.i.d. sources), with the
+bits of `enumerate_word_log_probs`; the hidden-Markov recursion builds no
+normalized state at its last level; the budget and float-range rules reject
+a huge n without building k^n; a tilt order too large for the tilted levels
+and a negative verification seed are reported as errors.
+"""
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import tiltlab as tl
+from tiltlab import verify
+from tiltlab.errors import BudgetExceeded, InvalidInput, OutOfRange
+from tiltlab.sources import DEFAULT_BUDGET, _word_levels, require_budget
+
+#: (shipped source, largest n) whose every table is compared
+SHIPPED = (("s2", 8), ("s3", 8), ("s3_markov", 8), ("s3_hmm", 8), ("s77_sample", 2))
+
+#: tracemalloc peak per word allowed to the s3_hmm enumeration; with the last
+#: level's normalized state copy it is about 65 B, without it about 48 B
+HMM_PEAK_BYTES_PER_WORD = 56
+
+#: seconds allowed to reject n = 10^7; building 3^(10^7) takes about 5 s
+FAST_REJECT_S = 1.0
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("name, n_max", SHIPPED, ids=[name for name, _ in SHIPPED])
+def test_word_levels_give_the_enumerated_bits(name, n_max):
+    source = tl.load_source(tl.builtin_spec_path(name))
+    for n in range(1, n_max + 1):
+        log_probs, levels, level_of = _word_levels(source, n, DEFAULT_BUDGET)
+        enumerated = bits(tl.enumerate_word_log_probs(source, n))
+        np.testing.assert_array_equal(bits(log_probs), enumerated)
+        np.testing.assert_array_equal(bits(levels[level_of]), enumerated)
+
+
+def test_hmm_enumeration_peak_per_word(s3_hmm):
+    n = 10
+    tl.enumerate_word_log_probs(s3_hmm, n)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        tl.enumerate_word_log_probs(s3_hmm, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 3**n < HMM_PEAK_BYTES_PER_WORD
+
+
+def seconds(call):
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
+
+
+def test_budget_rejects_a_huge_n_without_building_k_to_the_n():
+    def reject():
+        with pytest.raises(BudgetExceeded, match=r"3\^10000000 strings exceed"):
+            require_budget(3, 10**7, DEFAULT_BUDGET)
+
+    assert seconds(reject) < FAST_REJECT_S
+
+
+@pytest.mark.parametrize(
+    "k, n, budget, within",
+    [(2, 24, 2**24, True), (2, 25, 2**24, False), (2, 24, 2**24 - 1, False),
+     (3, 15, 3**15, True), (3, 15, 3**15 - 1, False), (3, 16, 2**26, True), (3, 17, 2**26, False),
+     (5, 1, 5, True), (5, 1, 4, False)],
+)
+def test_budget_is_exact_below_the_bit_length(k, n, budget, within):
+    if within:
+        require_budget(k, n, budget)
+    else:
+        with pytest.raises(BudgetExceeded):
+            require_budget(k, n, budget)
+
+
+def test_reverse_guesswork_rejects_a_huge_n_before_building_k_to_the_n():
+    def reject():
+        with pytest.raises(OutOfRange, match=r"3\^10000000 strings exceed the float range"):
+            tl.approx_guesswork(tl.WordMeasures(10**7, 10.0, 1.0), "reverse", 3)
+
+    assert seconds(reject) < FAST_REJECT_S
+
+
+@pytest.mark.parametrize("alpha", [1e308, -1e308, 5e307])
+def test_tilt_orders_beyond_the_float_range_of_the_tilted_levels(s3, alpha):
+    with pytest.raises(OutOfRange, match="overflows the tilted log-probs at n=4"):
+        tl.typical_set(s3, tl.TypicalSetSpec(alpha, 0.1, 4))
+
+
+def test_a_negative_seed_is_an_input_error():
+    with pytest.raises(InvalidInput, match="seed must be a non-negative integer, not -1"):
+        verify.random_sources(-1, 3)
