@@ -82,11 +82,8 @@ def approx_guesswork(
     if branch == "reverse":
         if alphabet_size is None:
             raise ValueError("reverse branch needs alphabet_size")
-        try:
-            float(alphabet_size) ** measures.n  # overflows before a huge exact k^n is built
-            return alphabet_size**measures.n + 1 - r
-        except OverflowError:
-            raise _beyond_float_range(alphabet_size, measures.n) from None
+        _string_count(alphabet_size, measures.n)  # raises before a huge exact k^n is built
+        return alphabet_size**measures.n + 1 - r
     raise ValueError(f"unknown branch {branch!r}")
 
 
@@ -138,8 +135,12 @@ def default_alpha_grid(
     return np.concatenate([-mags[::-1], mags])
 
 
-def _beyond_float_range(alphabet_size: int, n: int) -> OutOfRange:
-    return OutOfRange(f"{alphabet_size}^{n} strings exceed the float range")
+def _string_count(alphabet_size: int, n: int) -> float:
+    """The number of length-n strings as a float; OutOfRange beyond the float range."""
+    try:
+        return float(alphabet_size) ** n
+    except OverflowError:
+        raise OutOfRange(f"{alphabet_size}^{n} strings exceed the float range") from None
 
 
 def _sweep_grid(
@@ -155,11 +156,7 @@ def _sweep_grid(
     if not (np.any(grid > 0) and np.any(grid < 0)):
         raise InvalidInput("alpha grid must cover both signs")
     _require_length(n)
-    k = len(source.alphabet)
-    try:
-        total = float(k) ** n
-    except OverflowError:
-        raise _beyond_float_range(k, n) from None
+    total = _string_count(len(source.alphabet), n)
     if isinstance(source, CategoricalSource):
         validate(source)
     return grid, total
@@ -189,7 +186,8 @@ def _tilted_word_stats(logp: np.ndarray, grid: np.ndarray):
     alpha * logp - log Z, pw their exponentials.  log Z is `log_sum_exp`
     step for step, with its max taken from the extreme log-prob the order's
     sign selects: rounding is monotone, so fl(alpha * max) is the max of the
-    products for alpha > 0 and fl(alpha * min) for alpha < 0.
+    products for alpha > 0 and fl(alpha * min) for alpha < 0.  An order whose
+    level, entropy or varentropy is not finite raises OutOfRange.
     """
     support = np.isfinite(logp)
     full = bool(support.all())
@@ -201,19 +199,21 @@ def _tilted_word_stats(logp: np.ndarray, grid: np.ndarray):
     w = np.empty_like(base)
     pw = np.empty_like(base)
     for alpha in grid.tolist():
-        np.multiply(alpha, base, out=w)
-        m = alpha * (top if alpha > 0 else bottom)
-        if math.isfinite(m):
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(alpha, base, out=w)
+            m = alpha * (top if alpha > 0 else bottom)
             np.subtract(w, m, out=pw)
             m += float(np.log(np.exp(pw, out=pw).sum()))
-        np.subtract(w, m, out=w)
-        np.exp(w, out=pw)
-        level = float(np.dot(pw, neg_base))
-        np.negative(w, out=w)
-        h = float(np.dot(pw, w))
-        np.subtract(w, h, out=w)  # -(w + h), squared next
-        np.square(w, out=w)
-        v = float(np.dot(pw, w))
+            np.subtract(w, m, out=w)
+            np.exp(w, out=pw)
+            level = float(np.dot(pw, neg_base))
+            np.negative(w, out=w)
+            h = float(np.dot(pw, w))
+            np.subtract(w, h, out=w)  # -(w + h), squared next
+            np.square(w, out=w)
+            v = float(np.dot(pw, w))
+        if not (math.isfinite(level) and math.isfinite(h) and math.isfinite(v)):
+            raise OutOfRange(f"tilt order {alpha} overflows the tilted word log-probs")
         yield level, h, v
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement
 from typing import Iterator, Optional
 
 import numpy as np
@@ -149,7 +148,8 @@ class RankTable:
         return np.repeat(np.exp(self.levels[run_levels]), run_lengths)
 
     def _level_runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The level and the length of each run of equal levels in rank order."""
+        """The level and the length of each run of equal levels in rank order;
+        a level's strings lie in several runs where near-tied levels interleave."""
         ranked = self.level_of[self.order]
         starts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
         return ranked[np.r_[0, starts]], np.diff(starts, prepend=0, append=ranked.size)
@@ -319,45 +319,38 @@ def _strings_of(logp: np.ndarray, levels: np.ndarray, chosen: np.ndarray):
     return (logp >= lo) & (logp <= hi)
 
 
-def _class_rank_spans(table: RankTable) -> tuple[np.ndarray, np.ndarray]:
-    """First and last rank G of every type class of an i.i.d. table.
-
-    A class lies in one tie block, whose strings are ranked in lexicographic
-    order, so its ranks run from its sorted string (symbols in alphabet
-    order) to the same string reversed.  The sorted strings are the length-n
-    multisets of the alphabet, one per class.
-    """
-    k, n = len(table.source.alphabet), table.n
-    multisets = chain.from_iterable(combinations_with_replacement(range(k), n))
-    digits = np.fromiter(multisets, dtype=np.int64).reshape(-1, n)
-    weights = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    first_idx, last_idx = digits @ weights, digits[:, ::-1] @ weights
-    classes = table.level_of[first_idx]
-    first = np.empty(table.levels.size, dtype=np.int64)
-    last = np.empty_like(first)
-    first[classes] = table.rank_of[first_idx]
-    last[classes] = table.rank_of[last_idx]
-    return first, last
+def _level_spans(table: RankTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First rank G, last rank G and size of every level of a table: the start
+    of its first run, the end of its last run and the sum of its run lengths."""
+    run_levels, run_lengths = table._level_runs()
+    ends = np.cumsum(run_lengths)
+    first = np.full(table.levels.size, table.size, dtype=np.int64)
+    last, sizes = np.zeros_like(first), np.zeros_like(first)
+    np.minimum.at(first, run_levels, ends - run_lengths + 1)
+    np.maximum.at(last, run_levels, ends)
+    np.add.at(sizes, run_levels, run_lengths)
+    return first, last, sizes
 
 
 def _least_tilted_half(
-    a_idx: np.ndarray, a_class_of: np.ndarray, a_classes: np.ndarray, tilted: np.ndarray
+    a_idx: np.ndarray, a_class_of: np.ndarray, a_classes: np.ndarray, a_sizes: np.ndarray,
+    tilted: np.ndarray,
 ) -> np.ndarray:
     """The floor(|A|/2) members of A least likely under the tilt, ties at the
     boundary tilted level broken lexicographically, in ascending order.
 
-    A's classes are sorted by tilted level: every class strictly below the
-    level of the half-th string is taken whole, and the strings of the
-    classes at that level (several classes may share it) are taken in
-    lexicographic order until the half is full.
+    A's classes are sorted by tilted level and counted by their sizes
+    `a_sizes`: every class strictly below the level of the half-th string is
+    taken whole, and the strings of the classes at that level (several
+    classes may share it) are taken in lexicographic order until the half is
+    full.
     """
     half = a_idx.size // 2
     if half == 0:
         return a_idx[:0]
     a_tilted = tilted[a_classes]
     by_tilted = np.argsort(a_tilted)
-    sizes = np.bincount(a_class_of, minlength=tilted.size)[a_classes]
-    boundary = a_tilted[by_tilted[np.searchsorted(np.cumsum(sizes[by_tilted]), half)]]
+    boundary = a_tilted[by_tilted[np.searchsorted(np.cumsum(a_sizes[by_tilted]), half)]]
     in_b = (tilted < boundary).take(a_class_of)
     at_boundary = np.flatnonzero((tilted == boundary).take(a_class_of))
     in_b[at_boundary[: half - np.count_nonzero(in_b)]] = True
@@ -372,7 +365,8 @@ def typical_set(
 ) -> SetReport:
     """Build the typical set of the requested order and evaluate its bounds;
     an upper threshold beyond the float range is inf, so its bounds pass.
-    A given `table` must be built for n and for `source` by value."""
+    A given `table` must be built for n and for `source` by value.  B and the
+    rank bounds read each class's ranks and size from its level runs."""
     validate(source)
     n, alpha, eps = spec.n, spec.alpha, spec.epsilon
     if table is None:
@@ -403,7 +397,8 @@ def typical_set(
     e_classes = tilted < -h_tilt + tilted_width
     a_mask, d_mask, e_mask = (_strings_of(logp, levels, c) for c in (a_classes, d_classes, e_classes))
     a_idx = np.flatnonzero(a_mask)
-    b_idx = _least_tilted_half(a_idx, level_of.take(a_idx), a_classes, tilted)
+    first, last, sizes = _level_spans(table)
+    b_idx = _least_tilted_half(a_idx, level_of.take(a_idx), a_classes, sizes[a_classes], tilted)
 
     probs = np.exp(logp)
     prob_a = float(probs[a_mask].sum())
@@ -431,7 +426,7 @@ def typical_set(
         _bound_over("member_logprob_upper", levels[a_classes], operator.lt, logp_hi),
         BoundCheck("set_size_lower", size_a, size_lo, size_a > size_lo, vacuous=weak),
         BoundCheck("set_size_upper", size_a, size_hi, size_a < size_hi),
-        BoundCheck("set_prob_lower", prob_a, prob_lo, prob_a > prob_lo, vacuous=weak),
+        BoundCheck("set_prob_lower", prob_a, prob_lo, prob_a >= prob_lo, vacuous=weak),
     ]
     # the relaxed set that inherits the probability bounds depends on alpha
     if alpha < 0 or alpha >= 1:
@@ -449,7 +444,6 @@ def typical_set(
 
     # rank implications: forward rank for positive orders, reverse for negative;
     # the ranks of each class run from `first` to `last`
-    first, last = _class_rank_spans(table)
     b_rank = table.rank_of[b_idx]
     if alpha > 0:
         tag = "guesswork"

@@ -340,13 +340,15 @@ def _hmm_forward(source: HiddenMarkovSource, levels) -> np.ndarray:
     vector (the start distribution at the first level) and adds the log of
     the sum; only a state that a next level propagates is normalized by it.
     A slice (all symbols) keeps `emission.T` a column-major view, which sets
-    the first level's summation order bit for bit.
+    the first level's summation order bit for bit; later products are built
+    in C order, so their `reshape` is a view, not a copy.
     """
     emission_t = source.emission.T  # (symbols, states)
     logp, prior = np.zeros(1), source.initial[None, :]
     for j, symbols in enumerate(levels, 1):
         emit = emission_t[symbols]
-        forward = (prior[:, None, :] * emit[None, :, :]).reshape(-1, source.n_states)
+        product = np.multiply(prior[:, None, :], emit[None], order="K" if j == 1 else "C")
+        forward = product.reshape(-1, source.n_states)
         scale = forward.sum(axis=1)
         with np.errstate(divide="ignore"):
             logp = np.repeat(logp, len(emit)) + np.log(scale)

@@ -109,7 +109,7 @@ def typical_set(
     prob_lo = cheby * math.exp(-dn - decay)
     prob_hi = math.exp(-dn + decay)
     checks.append(
-        BoundCheck("set_prob_lower", prob_a, prob_lo, prob_a > prob_lo, vacuous=cheby <= 0)
+        BoundCheck("set_prob_lower", prob_a, prob_lo, prob_a >= prob_lo, vacuous=cheby <= 0)
     )
     if alpha < 0 or alpha >= 1:
         checks.append(BoundCheck("inner_prob_geq_set", prob_d, prob_a, prob_d >= prob_a))

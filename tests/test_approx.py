@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -247,6 +248,15 @@ class TestTiltedWordStats:
         grid = np.geomspace(0.01, 20.0, 31)
         swept = list(_tilted_word_stats(logp, grid))
         assert swept == [tilted_word_stats_one_alpha(logp, a) for a in grid.tolist()]
+
+    @pytest.mark.parametrize("name, n, alpha", [("s3_markov", 3, 1e200), ("s3_hmm", 2, 1e308)])
+    def test_order_beyond_the_float_range_raises(self, name, n, alpha, request):
+        source = request.getfixturevalue(name)
+        message = f"tilt order {alpha} overflows the tilted word log-probs"
+        with pytest.raises(OutOfRange, match=re.escape(message)):
+            tl.approx_pmf_curve(source, n, alpha_grid=[alpha, -alpha])
+        points = tl.approx_pmf_curve(source, n, alpha_grid=[1e150, -1e150])
+        assert all(np.isfinite(pt.tilted_varentropy_nats2) for pt in points)
 
     def test_partial_support_rejects_negative_orders(self):
         source = tl.source_from_dict(ZERO_TRANSITION)

@@ -211,6 +211,14 @@ class TestTypicalCommand:
         bounds = (tmp_path / "typ_bounds.csv").read_text().splitlines()
         assert "set_size_lower,0,-inf,vacuous-pass" in bounds
 
+    def test_probability_bound_met_with_equality_exits_0(self, tmp_path, capsys):
+        out = tmp_path / "typ.csv"
+        argv = ("typical", "--source", S3_PATH, "--n", "4", "--alpha", "1", "--epsilon", "1e308")
+        assert run(*argv, "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        bounds = (tmp_path / "typ_bounds.csv").read_text().splitlines()
+        assert "set_prob_lower,1.0,1.0,pass" in bounds
+
     def test_order_beyond_the_float_range_of_the_tilted_levels_exits_1(self, tmp_path, capsys):
         argv = ("typical", "--source", S3_PATH, "--n", "4", "--alpha", "1e308", "--epsilon", "0.1")
         assert run(*argv, "--out", str(tmp_path / "typ.csv")) == 1
@@ -264,6 +272,14 @@ class TestApproxCommand:
     def test_string_count_beyond_the_float_range_exits_1(self, capsys, s2_path):
         assert run("approx", "--source", s2_path, "--n", "1100") == 1
         assert capsys.readouterr().err == "tiltlab: 2^1100 strings exceed the float range\n"
+
+    def test_word_sweep_order_beyond_the_float_range_exits_1(self, tmp_path, capsys):
+        argv = ("approx", "--source", S3_MARKOV_PATH, "--n", "3", "--alpha-grid=1e200,-1e200")
+        assert run(*argv, "--out", str(tmp_path / "a.csv")) == 1
+        assert capsys.readouterr().err == (
+            "tiltlab: tilt order 1e+200 overflows the tilted word log-probs\n"
+        )
+        assert not list(tmp_path.iterdir())
 
 
 class TestVerifyCommand:

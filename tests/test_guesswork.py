@@ -266,6 +266,13 @@ class TestBoundLedger:
         assert by_id["median_guesswork_lower"].rhs == -math.inf
         assert report.all_passed and report.size == 0
 
+    def test_set_prob_lower_holds_with_equality(self, s3):
+        # at alpha = 1 the bound is Chebyshev's P(A) >= 1 - V/(n eps)^2, here 1 >= 1
+        report = tl.typical_set(s3, tl.TypicalSetSpec(alpha=1.0, epsilon=1e308, n=4))
+        bound = {b.bound_id: b for b in report.bounds}["set_prob_lower"]
+        assert (bound.lhs, bound.rhs, bound.flag) == (1.0, 1.0, "pass")
+        assert report.all_passed
+
     def test_both_regimes_reported_at_order_one(self, s3):
         ids = [b.bound_id for b in tl.bound_ledger(s3, tl.TypicalSetSpec(1.0, 0.2, 6))]
         assert "inner_prob_upper" in ids and "outer_prob_upper" in ids

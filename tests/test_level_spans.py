@@ -1,0 +1,42 @@
+"""The per-level first rank, last rank and size the typical-set ledger reads.
+
+`guesswork._level_spans` takes them from the runs of equal levels in rank
+order.  Per string, a level's first and last rank are the least and the
+greatest rank of the strings at that level, and its size is their count;
+the drawn geometric sources give near-tied levels whose strings interleave,
+and -inf levels.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+import tiltlab as tl
+from tiltlab.guesswork import _level_spans
+
+from test_class_level import geometric_sources
+
+
+def assert_spans_match_strings(table):
+    first, last, sizes = _level_spans(table)
+    assert first.dtype == last.dtype == sizes.dtype == np.int64
+    for level in range(table.levels.size):
+        ranks = table.rank_of[table.level_of == level]
+        assert (first[level], last[level], sizes[level]) == (ranks.min(), ranks.max(), ranks.size)
+
+
+@pytest.mark.parametrize(
+    "name, n_max",
+    [("s2", 10), ("s3", 7), ("s77_sample", 2), ("s3_markov", 5), ("s3_hmm", 5)],
+)
+def test_shipped_tables(name, n_max):
+    source = tl.load_source(tl.builtin_spec_path(name))
+    for n in range(1, n_max + 1):
+        assert_spans_match_strings(tl.build_rank_table(source, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(geometric_sources())
+def test_near_tied_interleaved_and_infinite_levels(drawn):
+    source, n = drawn
+    assert_spans_match_strings(tl.build_rank_table(source, n))
+

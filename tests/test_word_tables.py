@@ -25,6 +25,9 @@ SHIPPED = (("s2", 8), ("s3", 8), ("s3_markov", 8), ("s3_hmm", 8), ("s77_sample",
 #: level's normalized state copy it is about 65 B, without it about 48 B
 HMM_PEAK_BYTES_PER_WORD = 56
 
+#: the same for a seeded 8-state hidden chain over 3 symbols at n = 9
+MANY_STATE_PEAK_BYTES_PER_WORD = 150
+
 #: seconds allowed to reject n = 10^7; building 3^(10^7) takes about 5 s
 FAST_REJECT_S = 1.0
 
@@ -43,16 +46,30 @@ def test_word_levels_give_the_enumerated_bits(name, n_max):
         np.testing.assert_array_equal(bits(levels[level_of]), enumerated)
 
 
-def test_hmm_enumeration_peak_per_word(s3_hmm):
-    n = 10
-    tl.enumerate_word_log_probs(s3_hmm, n)  # first-call allocations stay out of the peak
+def enumeration_peak_per_word(source, n):
+    tl.enumerate_word_log_probs(source, n)  # first-call allocations stay out of the peak
     tracemalloc.start()
     try:
-        tl.enumerate_word_log_probs(s3_hmm, n)
+        tl.enumerate_word_log_probs(source, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 3**n < HMM_PEAK_BYTES_PER_WORD
+    return peak / len(source.alphabet) ** n
+
+
+def test_hmm_enumeration_peak_per_word(s3_hmm):
+    assert enumeration_peak_per_word(s3_hmm, 10) < HMM_PEAK_BYTES_PER_WORD
+
+
+def test_many_state_hmm_enumeration_peak_per_word():
+    # the product of each level after the first is built in C order, so
+    # `reshape` is a view: about 120 B/word here, 176 with the copy
+    rng = np.random.default_rng(8)
+    source = tl.HiddenMarkovSource(
+        tl.letters(3), rng.dirichlet(np.ones(8), 8), rng.dirichlet(np.ones(3), 8),
+        rng.dirichlet(np.ones(8)),
+    )
+    assert enumeration_peak_per_word(source, 9) < MANY_STATE_PEAK_BYTES_PER_WORD
 
 
 def seconds(call):
