@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateVariance, InvalidInput, NegativeVariance, OutOfRange
 from .guesswork import TypicalSetSpec
-from .measures import _cross_entropy, _cross_varentropy, _tilted_arrays
+from .measures import _cross_entropy, _cross_varentropy, _tilted_arrays, _tilted_rows
 from .numeric import _exp_or_inf
 from .sources import (
     DEFAULT_BUDGET,
@@ -98,8 +98,8 @@ def approx_set_size(
     TypicalSetSpec(alpha, epsilon, n)  # the alpha != 0, epsilon > 0 and n >= 1 rules
     validate(source)
     p, lp, _ = _tilted_arrays(source, alpha)
-    h = _cross_entropy(p, lp, n)
-    v = _cross_varentropy(p, lp, n)
+    h = float(_cross_entropy(p, lp, n))
+    v = float(_cross_varentropy(p, lp, n))
     if v <= 1e-12:
         raise DegenerateVariance("tilted varentropy is numerically zero")
     a = abs(alpha) * n * epsilon
@@ -166,12 +166,16 @@ def _tilted_stats(
     source: SequenceSource, n: int, grid: np.ndarray, budget: int, log_probs=None
 ):
     """(cross-entropy level, entropy, varentropy) of the length-n words of
-    each alpha-tilt: n-scaled sums on each tilt's arrays for an i.i.d. source,
-    else a sweep of the word log-probs (enumerated unless `log_probs` holds them)."""
+    each alpha-tilt: n-scaled row sums on the tilts' arrays for an i.i.d.
+    source, else a sweep of the word log-probs (enumerated unless `log_probs`
+    holds them)."""
     if isinstance(source, CategoricalSource):
-        for alpha in grid.tolist():
-            p, lp, lq = _tilted_arrays(source, alpha)
-            yield _cross_entropy(p, lq, n), _cross_entropy(p, lp, n), _cross_varentropy(p, lp, n)
+        stats = np.empty((grid.size, 3))
+        for rows, p, lp, lq in _tilted_rows(source, grid):
+            stats[rows, 0] = _cross_entropy(p, lq, n)
+            stats[rows, 1] = _cross_entropy(p, lp, n)
+            stats[rows, 2] = _cross_varentropy(p, lp, n)
+        yield from map(tuple, stats.tolist())
     else:
         if log_probs is None:
             log_probs = enumerate_word_log_probs(source, n, budget)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -87,6 +88,12 @@ def _decode_strings(symbols: tuple[str, ...], n: int, lex_indices: np.ndarray) -
     return strings.tolist()
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 @dataclass(frozen=True, eq=False)
 class RankTable:
     """All |alphabet|^n strings with their log-prob, guesswork G and reverse rank R.
@@ -149,10 +156,25 @@ class RankTable:
 
     def _level_runs(self) -> tuple[np.ndarray, np.ndarray]:
         """The level and the length of each run of equal levels in rank order;
-        a level's strings lie in several runs where near-tied levels interleave."""
+        a level's strings lie in several runs where near-tied levels interleave.
+        Not kept: a table can hold as many runs as strings."""
         ranked = self.level_of[self.order]
         starts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
         return ranked[np.r_[0, starts]], np.diff(starts, prepend=0, append=ranked.size)
+
+    @cached_property
+    def _level_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """First rank G, last rank G and size of every level: the start of its
+        first run, the end of its last run and the sum of its run lengths.
+        Walked once per table, on first use, for every ledger query."""
+        run_levels, run_lengths = self._level_runs()
+        ends = np.cumsum(run_lengths)
+        first = np.full(self.levels.size, self.size, dtype=np.int64)
+        last, sizes = np.zeros_like(first), np.zeros_like(first)
+        np.minimum.at(first, run_levels, ends - run_lengths + 1)
+        np.maximum.at(last, run_levels, ends)
+        np.add.at(sizes, run_levels, run_lengths)
+        return _read_only(first, last, sizes)
 
     def records(self) -> Iterator[tuple[str, float, int, int]]:
         """(string, log-prob, G, R) rows in rank order."""
@@ -194,8 +216,7 @@ def build_rank_table(
     order = _rank_order(levels, level_of, TIE_TOL_PER_SYMBOL * n)
     rank_of = np.empty(logp.size, dtype=np.int64)
     rank_of[order] = np.arange(1, logp.size + 1)
-    for arr in (logp, order, rank_of, levels, level_of):
-        arr.setflags(write=False)
+    _read_only(logp, order, rank_of, levels, level_of)
     return RankTable(source=source, n=n, log_probs=logp, order=order, rank_of=rank_of,
                      levels=levels, level_of=level_of)
 
@@ -319,19 +340,6 @@ def _strings_of(logp: np.ndarray, levels: np.ndarray, chosen: np.ndarray):
     return (logp >= lo) & (logp <= hi)
 
 
-def _level_spans(table: RankTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First rank G, last rank G and size of every level of a table: the start
-    of its first run, the end of its last run and the sum of its run lengths."""
-    run_levels, run_lengths = table._level_runs()
-    ends = np.cumsum(run_lengths)
-    first = np.full(table.levels.size, table.size, dtype=np.int64)
-    last, sizes = np.zeros_like(first), np.zeros_like(first)
-    np.minimum.at(first, run_levels, ends - run_lengths + 1)
-    np.maximum.at(last, run_levels, ends)
-    np.add.at(sizes, run_levels, run_lengths)
-    return first, last, sizes
-
-
 def _least_tilted_half(
     a_idx: np.ndarray, a_class_of: np.ndarray, a_classes: np.ndarray, a_sizes: np.ndarray,
     tilted: np.ndarray,
@@ -385,10 +393,10 @@ def typical_set(
         raise OutOfRange(f"tilt order {alpha} overflows the tilted log-probs at n={n}")
 
     p, lp, lq = _tilted_arrays(source, alpha)
-    level = _cross_entropy(p, lq, n)  # cross-entropy level of the window
-    h_tilt = _cross_entropy(p, lp, n)
-    vx = _cross_varentropy(p, lq, n)
-    dn = _relative_entropy(p, lp, lq, n)
+    level = float(_cross_entropy(p, lq, n))  # cross-entropy level of the window
+    h_tilt = float(_cross_entropy(p, lp, n))
+    vx = float(_cross_varentropy(p, lq, n))
+    dn = float(_relative_entropy(p, lp, lq, n))
 
     logp_lo, logp_hi = -level - n * eps, -level + n * eps
     a_classes = (levels > logp_lo) & (levels < logp_hi)
@@ -397,7 +405,7 @@ def typical_set(
     e_classes = tilted < -h_tilt + tilted_width
     a_mask, d_mask, e_mask = (_strings_of(logp, levels, c) for c in (a_classes, d_classes, e_classes))
     a_idx = np.flatnonzero(a_mask)
-    first, last, sizes = _level_spans(table)
+    first, last, sizes = table._level_spans
     b_idx = _least_tilted_half(a_idx, level_of.take(a_idx), a_classes, sizes[a_classes], tilted)
 
     probs = np.exp(logp)

@@ -15,7 +15,13 @@ import numpy as np
 
 from .errors import AlphabetMismatch
 from .numeric import log_sum_exp
-from .sources import CategoricalSource, SequenceSource, _tilted_theta, string_log_prob
+from .sources import (
+    CategoricalSource,
+    SequenceSource,
+    _tilted_theta,
+    _tilted_thetas,
+    string_log_prob,
+)
 
 
 def _require_same_alphabet(rho: CategoricalSource, mu: CategoricalSource) -> None:
@@ -43,18 +49,18 @@ def varentropy(source: CategoricalSource, n: int = 1) -> float:
 def cross_entropy(rho: CategoricalSource, mu: CategoricalSource, n: int = 1) -> float:
     """n times the expectation under rho of -log mu."""
     p, _, lq = _on_support(rho, mu)
-    return _cross_entropy(p, lq, n)
+    return float(_cross_entropy(p, lq, n))
 
 
 def cross_varentropy(rho: CategoricalSource, mu: CategoricalSource, n: int = 1) -> float:
     """n times the variance under rho of -log mu."""
     p, _, lq = _on_support(rho, mu)
-    return _cross_varentropy(p, lq, n)
+    return float(_cross_varentropy(p, lq, n))
 
 
 def relative_entropy(rho: CategoricalSource, mu: CategoricalSource, n: int = 1) -> float:
     """n times the KL divergence of rho from mu; zero iff the vectors agree."""
-    return _relative_entropy(*_on_support(rho, mu), n)
+    return float(_relative_entropy(*_on_support(rho, mu), n))
 
 
 def _on_support(rho: CategoricalSource, mu: CategoricalSource):
@@ -68,27 +74,51 @@ def _tilted_arrays(source: CategoricalSource, alpha: float):
     """`_on_support(tilt(source, alpha), source)`, bit for bit, with no
     tilted source built: the order-alpha tilt's probabilities and log-probs
     and the source's log-probs, where the tilt is positive."""
-    theta = _tilted_theta(source, alpha)
+    return _on_tilt_support(source, _tilted_theta(source, alpha))
+
+
+def _on_tilt_support(source: CategoricalSource, theta: np.ndarray):
     support = theta > 0
     p = theta[support]
     return p, np.log(p), source.log_theta[support]
 
 
+def _tilted_rows(source: CategoricalSource, alphas: np.ndarray):
+    """`_tilted_arrays` at many orders at once, in groups for the measures
+    below: yields (rows, p, lp, lq), rows indexing `alphas`.
+
+    The orders whose tilt is positive on every symbol form one group of 2-D
+    p and lp, a row per order, with the source's log-probs as lq.  Each other
+    order comes alone with its arrays restricted to the tilt's support, as
+    `_tilted_arrays` gives them: a dot product blocks its sum by the vector's
+    length, so a row summed with its zero entries in place would round
+    differently.
+    """
+    thetas = _tilted_thetas(source, alphas)
+    full = (thetas > 0).all(axis=1)
+    p = thetas[full]
+    yield np.flatnonzero(full), p, np.log(p), source.log_theta
+    for i in np.flatnonzero(~full).tolist():
+        yield i, *_on_tilt_support(source, thetas[i])
+
+
 # The cross measures on arrays restricted to rho's support, for callers that
-# hold arrays rather than sources (`_on_support`, `_tilted_arrays`): p = rho's
-# probabilities, lp = rho's log-probs, lq = mu's log-probs.
+# hold arrays rather than sources (`_on_support`, `_tilted_arrays`,
+# `_tilted_rows`): p = rho's probabilities, lp = rho's log-probs, lq = mu's
+# log-probs.  On 2-D p (and lp) each row is one distribution, and the sums
+# run one BLAS dot per row (`np.vecdot`), the dot `np.dot` runs on a vector.
 
-def _cross_entropy(p: np.ndarray, lq: np.ndarray, n: int = 1) -> float:
-    return -n * float(np.dot(p, lq))
-
-
-def _cross_varentropy(p: np.ndarray, lq: np.ndarray, n: int = 1) -> float:
-    return n * float(np.dot(p, (lq + _cross_entropy(p, lq)) ** 2))
+def _cross_entropy(p: np.ndarray, lq: np.ndarray, n: int = 1) -> np.ndarray:
+    return -n * np.vecdot(p, lq)
 
 
-def _relative_entropy(p: np.ndarray, lp: np.ndarray, lq: np.ndarray, n: int = 1) -> float:
+def _cross_varentropy(p: np.ndarray, lq: np.ndarray, n: int = 1) -> np.ndarray:
+    return n * np.vecdot(p, (lq + _cross_entropy(p, lq)[..., None]) ** 2)
+
+
+def _relative_entropy(p: np.ndarray, lp: np.ndarray, lq: np.ndarray, n: int = 1) -> np.ndarray:
     # non-negative by Gibbs' inequality; only float rounding can dip below
-    return n * max(float(np.dot(p, lp - lq)), 0.0)
+    return n * np.maximum(np.vecdot(p, lp - lq), 0.0)
 
 
 def renyi_entropy(mu: CategoricalSource, alpha: float, n: int = 1) -> float:

@@ -8,14 +8,13 @@ is strictly monotone in alpha on each branch, so bisection cannot fail
 inside a bracket.
 
 `rate_points` inverts a whole grid of t at once.  Every t brackets its root
-on the same geometric ladder of alpha, whose exact levels are computed once
-per call, and then all t bisect in lockstep.  A vectorized (t x symbols)
-tilted level decides on which side of t each midpoint lies; only when it
-falls within LEVEL_GUARD of t does the scalar exact level decide.  Each
-decision is thus the one a lone scalar bisection on the exact level makes,
-and the roots are the same floats.  The exact level and the rate values at
-each root build no tilted source: they run the measures' sums on the
-probability array `tilt` would hold.
+on the same geometric ladder of alpha, whose levels are computed in one call,
+and then all t bisect in lockstep.  Every step evaluates the exact level at
+all midpoints in one call (`_levels`): the tilts are rows of one array, and
+each row's sums run one BLAS dot, as a lone order's vector does.  So each
+decision is the one a lone scalar bisection on that order's tilted source
+makes, and the roots are the same floats; the rate, slope and curvature at
+the roots come from the same rows.  No tilted source is built.
 """
 from __future__ import annotations
 
@@ -24,9 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, DegenerateVariance, InvalidInput, OutOfRange
-from .measures import _cross_entropy, _cross_varentropy, _relative_entropy, _tilted_arrays
-from .sources import CategoricalSource, validate
+from .errors import BracketFailure, BudgetExceeded, DegenerateVariance, InvalidInput, OutOfRange
+from .measures import (
+    _cross_entropy,
+    _cross_varentropy,
+    _relative_entropy,
+    _tilted_arrays,
+    _tilted_rows,
+)
+from .sources import DEFAULT_BUDGET, CategoricalSource, validate
 
 KINDS = ("forward_g", "reverse_r", "information_i")
 
@@ -76,38 +81,13 @@ _BRACKETS = {
     )),
 }
 
-#: relative distance from t inside which the vectorized level defers to the
-#: exact scalar level when deciding on which side of t a bisection midpoint
-#: lies; the two levels differ by a few ulps, far below this margin
-LEVEL_GUARD = 1e-13
-
-
-def _exact_level(source: CategoricalSource, kind: str, alpha: float) -> float:
-    """Entropy (or cross entropy against the source) of the order-alpha tilt,
-    summed on its arrays; no tilted source is built."""
-    p, lp, lq = _tilted_arrays(source, alpha)
-    return _cross_entropy(p, lq if kind == "information_i" else lp)
-
-
-def _fast_levels(source: CategoricalSource, kind: str, alphas: np.ndarray) -> np.ndarray:
-    """`_exact_level` at many orders at once, summed in a different order."""
-    lt = np.multiply.outer(alphas, source.log_theta)
-    top = lt.max(axis=1, keepdims=True)
-    lt -= top + np.log(np.exp(lt - top).sum(axis=1, keepdims=True))
-    weights = source.log_theta if kind == "information_i" else lt
-    return -(np.exp(lt) * weights).sum(axis=1)
-
-
-def _sides(
-    source: CategoricalSource, kind: str, alphas: np.ndarray, ts: np.ndarray
-) -> np.ndarray:
-    """Sign of exact level minus t at each (alpha, t) pair."""
-    diff = _fast_levels(source, kind, alphas) - ts
-    sides = np.sign(diff)
-    unsure = ~(np.abs(diff) > LEVEL_GUARD * np.maximum(1.0, np.abs(ts)))
-    for i in np.flatnonzero(unsure):
-        sides[i] = np.sign(_exact_level(source, kind, float(alphas[i])) - ts[i])
-    return sides
+def _levels(source: CategoricalSource, kind: str, alphas: np.ndarray) -> np.ndarray:
+    """Entropy (or cross entropy against the source) of each order-alpha
+    tilt: the level a kind's root solves for."""
+    levels = np.empty(alphas.size)
+    for rows, p, lp, lq in _tilted_rows(source, alphas):
+        levels[rows] = _cross_entropy(p, lq if kind == "information_i" else lp)
+    return levels
 
 
 def _solve(source: CategoricalSource, kind: str, ts: np.ndarray) -> np.ndarray:
@@ -131,27 +111,37 @@ def _bracket(source: CategoricalSource, kind: str, ts: np.ndarray):
     """Walk every t's bracket out along the kind's two ladders in lockstep.
 
     Every t that walks an end starts it from the same start value, so the
-    ladder points, and their exact levels, are shared by all t.
+    ladder points, and their levels, are shared by all t: one `_levels` call
+    gives them all.
     """
     slope, starts, walks = _BRACKETS[kind]
     start = dict(zip(("lo", "hi"), starts))
+    ladders = {}
+    for end, factor, _ in walks:
+        ladder = [start[end]]
+        while 1e-14 <= abs(ladder[-1] * factor) <= ALPHA_CAP:
+            ladder.append(ladder[-1] * factor)
+        ladders[end] = ladder
+    levels = _levels(source, kind, np.array(ladders["lo"] + ladders["hi"]))
+    rungs = {"lo": levels[: len(ladders["lo"])], "hi": levels[len(ladders["lo"]) :]}
     ends = {e: np.full(ts.size, start[e]) for e in start}
-    f = {e: _exact_level(source, kind, start[e]) - ts for e in start}
+    f = {e: rungs[e][0] - ts for e in start}
     failed = np.full(ts.size, None, dtype=object)
-    for end, factor, message in walks:
+    for end, _, message in walks:
         other = "hi" if end == "lo" else "lo"
         wrong = slope if end == "lo" else -slope
-        x = start[end]
+        steps = zip(ladders[end][1:], rungs[end][1:].tolist())
         walking = wrong * f[end] > 0.0
         while walking.any():
             ends[other][walking] = ends[end][walking]
             f[other][walking] = f[end][walking]
-            x *= factor
-            if not 1e-14 <= abs(x) <= ALPHA_CAP:
+            step = next(steps, None)
+            if step is None:
                 failed[walking] = message
                 break
+            x, level = step
             ends[end][walking] = x
-            f[end][walking] = _exact_level(source, kind, x) - ts[walking]
+            f[end][walking] = level - ts[walking]
             walking &= wrong * f[end] > 0.0
     for message in failed:
         if message is not None:
@@ -171,7 +161,7 @@ def _bisect_all(source, kind, ts, lo, hi, flo, fhi) -> np.ndarray:
         if not idx.size:
             break
         mid = 0.5 * (lo[idx] + hi[idx])
-        sides = _sides(source, kind, mid, ts[idx])
+        sides = np.sign(_levels(source, kind, mid) - ts[idx])
         root = sides == 0.0
         up = ~root & ((sides < 0.0) == lo_below[idx])
         down = ~(root | up)
@@ -220,7 +210,7 @@ def _endpoint_value(source: CategoricalSource, kind: str, at_lower: bool) -> flo
         return -math.log(source.min_prob if kind == "reverse_r" else source.max_prob)
     if kind == "information_i":
         return -math.log(source.min_prob)
-    return _relative_entropy(*_tilted_arrays(source, 0.0))
+    return float(_relative_entropy(*_tilted_arrays(source, 0.0)))
 
 
 def _rate(source: CategoricalSource, t: float, kind: str) -> float:
@@ -273,38 +263,50 @@ class RateCurve:
     d2_rate: np.ndarray
 
 
+def _require_grid_budget(source: CategoricalSource, size: int) -> None:
+    """At most DEFAULT_BUDGET (t, symbol) entries in a grid of `size` levels:
+    every bisection step holds a few arrays of that many floats."""
+    k = len(source.alphabet)
+    if size * k > DEFAULT_BUDGET:
+        raise BudgetExceeded(
+            f"{size} levels of t over {k} symbols exceed the rate grid budget {DEFAULT_BUDGET}"
+        )
+
+
 def rate_points(source: CategoricalSource, kind: str, ts) -> RateCurve:
     """The rate curve and its first two t-derivatives at every level in `ts`.
 
     Every t must lie inside the open domain of the curve, (0, log|alphabet|)
     for the guesswork kinds and (t_minus, t_plus) for information; no
-    endpoint clamp applies.  All t are solved together.
+    endpoint clamp applies.  All t are solved together, and the grid may hold
+    at most DEFAULT_BUDGET entries of t times symbols (BudgetExceeded).
     """
     if kind not in KINDS:
         raise InvalidInput(f"unknown curve kind {kind!r}")
     ts = np.array(ts, dtype=np.float64)
     if ts.ndim != 1:
         raise InvalidInput("ts must be one-dimensional")
+    _require_grid_budget(source, ts.size)
     alphas = _solve(source, kind, ts)
     rates = np.empty(ts.size)
-    d1 = np.empty(ts.size)
-    d2 = np.empty(ts.size)
-    for i, a in enumerate(alphas.tolist()):
-        p, lp, lq = _tilted_arrays(source, a)
-        rates[i] = _relative_entropy(p, lp, lq)
+    inv_d2 = np.empty(ts.size)
+    for rows, p, lp, lq in _tilted_rows(source, alphas):
+        rates[rows] = _relative_entropy(p, lp, lq)
         if kind == "information_i":
-            d1[i] = 1.0 - a
             # alpha^2 / V(tilt) written through the cross varentropy, which
             # stays finite and continuous through alpha = 0
-            inv_d2 = _cross_varentropy(p, lq)
+            inv_d2[rows] = _cross_varentropy(p, lq)
         else:
-            d1[i] = (1.0 - a) / a
-            inv_d2 = a * _cross_varentropy(p, lp)
-        if inv_d2 == 0.0:
-            raise DegenerateVariance(
-                f"t={float(ts[i])}: tilted varentropy is numerically zero; d2J/dt2 is undefined"
-            )
-        d2[i] = 1.0 / inv_d2
+            inv_d2[rows] = alphas[rows] * _cross_varentropy(p, lp)
+    degenerate = np.flatnonzero(inv_d2 == 0.0)
+    if degenerate.size:
+        raise DegenerateVariance(
+            f"t={float(ts[degenerate[0]])}: tilted varentropy is numerically zero; "
+            "d2J/dt2 is undefined"
+        )
+    d1 = 1.0 - alphas if kind == "information_i" else (1.0 - alphas) / alphas
+    with np.errstate(over="ignore"):  # a subnormal inv_d2 gives inf, as a float division does
+        d2 = 1.0 / inv_d2
     return RateCurve(kind=kind, alpha=alphas, t=ts, rate=rates, d_rate=d1, d2_rate=d2)
 
 
@@ -314,5 +316,6 @@ def rate_curve(source: CategoricalSource, kind: str, n_samples: int = 201) -> Ra
         raise InvalidInput(f"unknown curve kind {kind!r}")
     if n_samples < 3:
         raise InvalidInput("need at least 3 samples")
+    _require_grid_budget(source, n_samples)
     lo, hi = _domain(source, kind)
     return rate_points(source, kind, lo + (hi - lo) * np.arange(1, n_samples + 1) / (n_samples + 1))

@@ -26,7 +26,7 @@ from .errors import (
     TieViolation,
     UnknownSymbol,
 )
-from .numeric import log_sum_exp
+from .numeric import _log_sum_exp_rows
 
 #: absolute tolerance for every simplex / stochasticity check
 ASSUMPTION_TOL = 1e-12
@@ -164,21 +164,36 @@ def tilt(source: CategoricalSource, alpha: float) -> CategoricalSource:
 
 def _tilted_theta(source: CategoricalSource, alpha: float) -> np.ndarray:
     """The probability array of the order-alpha tilt, which `tilt` wraps in a
-    source: the source's own array at alpha=1, the uniform array at alpha=0."""
-    if not math.isfinite(alpha):
-        raise InvalidInput(f"tilt order {alpha} must be finite")
-    if alpha == 1.0:
-        return source.theta
-    if alpha == 0.0:
-        k = len(source.alphabet)
-        return np.full(k, 1.0 / k)
-    if alpha < 0.0 and not (source.theta > 0.0).all():
+    source: the one-row case of `_tilted_thetas`."""
+    return _tilted_thetas(source, np.array([alpha], dtype=np.float64))[0]
+
+
+def _tilted_thetas(source: CategoricalSource, alphas: np.ndarray) -> np.ndarray:
+    """The probability arrays of the order-alpha tilts, one row per order: the
+    source's own array at alpha=1, the uniform array at alpha=0, else
+    exp(alpha * log theta - log_sum_exp(alpha * log theta)).  Each row has the
+    bits a lone order's array has: the steps are elementwise or row by row.
+    """
+    # count_nonzero is the cheapest all() on the one-row arrays of `tilt`
+    finite = np.isfinite(alphas)
+    if np.count_nonzero(finite) < alphas.size:
+        raise InvalidInput(f"tilt order {float(alphas[~finite][0])} must be finite")
+    if np.count_nonzero(source.theta) < source.theta.size and np.count_nonzero(alphas < 0.0):
         raise BoundaryViolation(
-            f"tilt order {alpha} < 0 needs full support: some symbol probability is 0"
+            f"tilt order {float(alphas[alphas < 0.0][0])} < 0 needs full support: "
+            "some symbol probability is 0"
         )
-    lt = alpha * source.log_theta
-    lt = lt - log_sum_exp(lt)
-    return np.exp(lt)
+    general = (alphas != 1.0) & (alphas != 0.0)
+    lt = np.multiply.outer(alphas[general], source.log_theta)
+    rows = np.exp(lt - _log_sum_exp_rows(lt)[:, None])
+    if np.count_nonzero(general) == alphas.size:
+        return rows
+    k = len(source.alphabet)
+    out = np.empty((alphas.size, k))
+    out[general] = rows
+    out[alphas == 1.0] = source.theta
+    out[alphas == 0.0] = 1.0 / k
+    return out
 
 
 def reverse(source: CategoricalSource) -> CategoricalSource:

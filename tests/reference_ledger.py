@@ -13,9 +13,16 @@ from typing import Optional
 import numpy as np
 
 from tiltlab.guesswork import BoundCheck, RankTable, SetReport, TypicalSetSpec, build_rank_table
-from tiltlab.measures import cross_entropy, cross_varentropy, entropy, relative_entropy
-from tiltlab.numeric import log_sum_exp
-from tiltlab.sources import DEFAULT_BUDGET, CategoricalSource, tilt, validate
+from tiltlab.sources import DEFAULT_BUDGET, CategoricalSource, validate
+
+from reference_measures import (
+    cross_entropy,
+    cross_varentropy,
+    entropy,
+    log_sum_exp,
+    relative_entropy,
+    tilt,
+)
 
 
 def _min_over(values: np.ndarray, mask: np.ndarray) -> float:

@@ -3,8 +3,9 @@
 This is the solver the lockstep `rates.rate_points` replaced, kept as a test
 oracle.  Every bisection step builds a tilted source and evaluates its exact
 entropy (or cross entropy); a root is bracketed by walking geometric ladders
-outward from fixed start points.  The lockstep solver must return the same
-floats, bit for bit, and raise the same errors.
+outward from fixed start points.  The tilt and the measures are the
+one-vector reference bodies of reference_measures.py.  The lockstep solver
+must return the same floats, bit for bit, and raise the same errors.
 """
 import math
 from typing import Callable
@@ -12,13 +13,6 @@ from typing import Callable
 import numpy as np
 
 from tiltlab.errors import BracketFailure, OutOfRange
-from tiltlab.measures import (
-    cross_entropy,
-    cross_varentropy,
-    entropy,
-    relative_entropy,
-    varentropy,
-)
 from tiltlab.rates import (
     ALPHA_CAP,
     ENDPOINT_CLAMP,
@@ -26,7 +20,16 @@ from tiltlab.rates import (
     RateCurve,
     cross_entropy_range,
 )
-from tiltlab.sources import CategoricalSource, tilt, uniform, validate
+from tiltlab.sources import CategoricalSource, uniform, validate
+
+from reference_measures import (
+    cross_entropy,
+    cross_varentropy,
+    entropy,
+    relative_entropy,
+    tilt,
+    varentropy,
+)
 
 
 def _bisect(

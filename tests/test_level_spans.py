@@ -1,7 +1,7 @@
 """The per-level first rank, last rank and size the typical-set ledger reads.
 
-`guesswork._level_spans` takes them from the runs of equal levels in rank
-order.  Per string, a level's first and last rank are the least and the
+`RankTable._level_spans` takes them from the runs of equal levels in rank
+order, once per table.  Per string, a level's first and last rank are the least and the
 greatest rank of the strings at that level, and its size is their count;
 the drawn geometric sources give near-tied levels whose strings interleave,
 and -inf levels.
@@ -11,13 +11,11 @@ import pytest
 from hypothesis import given, settings
 
 import tiltlab as tl
-from tiltlab.guesswork import _level_spans
-
 from test_class_level import geometric_sources
 
 
 def assert_spans_match_strings(table):
-    first, last, sizes = _level_spans(table)
+    first, last, sizes = table._level_spans
     assert first.dtype == last.dtype == sizes.dtype == np.int64
     for level in range(table.levels.size):
         ranks = table.rank_of[table.level_of == level]
@@ -40,3 +38,12 @@ def test_near_tied_interleaved_and_infinite_levels(drawn):
     source, n = drawn
     assert_spans_match_strings(tl.build_rank_table(source, n))
 
+
+
+def test_spans_are_walked_once_per_table(s3):
+    table = tl.build_rank_table(s3, 6)
+    spans = table._level_spans
+    for alpha in (1.0, 0.5, -1.0):
+        tl.typical_set(s3, tl.TypicalSetSpec(alpha, 0.1, 6), table=table)
+    assert table._level_spans is spans
+    assert not any(arr.flags.writeable for arr in spans)

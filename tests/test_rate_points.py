@@ -1,5 +1,9 @@
 """The lockstep rate solver against the scalar reference solver, bit for bit."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +13,19 @@ from hypothesis import strategies as st
 import tiltlab as tl
 from tiltlab import cli
 from tiltlab import rates as rt
-from tiltlab.errors import BracketFailure, DegenerateVariance, OutOfRange
+from tiltlab.errors import (
+    BracketFailure,
+    BudgetExceeded,
+    DegenerateVariance,
+    OutOfRange,
+    TiltlabError,
+)
+from tiltlab.measures import _tilted_arrays, _tilted_rows
+from tiltlab.sources import DEFAULT_BUDGET
 
 import reference_rates as ref
 from reference_csv import rate_rows
+from reference_measures import tilted_theta as reference_tilted_theta
 from conftest import categorical_sources
 
 SHIPPED = ("s2", "s3", "s77_sample")
@@ -76,9 +89,34 @@ def test_rate_curve_matches_reference(name, kind, n_samples):
         assert as_bits(getattr(curve, field)) == as_bits(getattr(expected, field)), field
 
 
-@settings(max_examples=40, deadline=None)
+#: every bracket start and ladder point of the three kinds
+LADDER = sorted(
+    sign * a
+    for sign in (1.0, -1.0)
+    for a in [1e-6 * 0.5**j for j in range(27)] + [2.0**j for j in range(14)]
+)
+
+
+@st.composite
+def wide_sources(draw):
+    """Full-support sources with up to 200 symbols whose weights span six decades."""
+    k = draw(st.integers(2, 200))
+    weights = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=k, max_size=k)))
+    return tl.CategoricalSource(tl.Alphabet(tuple(f"s{i}" for i in range(k))), weights / weights.sum())
+
+
+def satisfies_assumptions(source):
+    try:
+        tl.validate(source)
+    except TiltlabError:
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    categorical_sources(2, 8),
+    # wide sources reach the dot product's blocking (from 16 symbols on)
+    st.one_of(categorical_sources(2, 8), wide_sources().filter(satisfies_assumptions)),
     st.sampled_from(rt.KINDS),
     st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=8),
     st.floats(1e-12, 1e-7),
@@ -142,7 +180,7 @@ def test_levels_hit_exactly_at_ladder_points_and_midpoints(s3, alpha):
     # midpoint ends the solve there, with a zero difference; the level, built
     # on no source, is the tilted source's, bit for bit
     for kind in rt.KINDS:
-        t = rt._exact_level(s3, kind, alpha)
+        t = float(rt._levels(s3, kind, np.array([alpha]))[0])
         assert as_bits(t) == as_bits(ref.level(s3, kind, alpha))
         expected = reference_outcome(reference_rows, s3, kind, [t])
         assert outcome(lockstep_rows, s3, kind, [t]) == expected
@@ -192,34 +230,36 @@ def test_cli_t_grid_bytes_unchanged(capsys, name, kind, grid):
     assert lines[2:] == [",".join(cli._fmt(v) for v in row) for row in rows]
 
 
-#: every bracket start and ladder point of the three kinds
-LADDER = sorted(
-    sign * a
-    for sign in (1.0, -1.0)
-    for a in [1e-6 * 0.5**j for j in range(27)] + [2.0**j for j in range(14)]
-)
-
-
-@st.composite
-def wide_sources(draw):
-    """Full-support sources with up to 200 symbols whose weights span six decades."""
-    k = draw(st.integers(2, 200))
-    weights = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=k, max_size=k)))
-    return tl.CategoricalSource(tl.Alphabet(tuple(f"s{i}" for i in range(k))), weights / weights.sum())
-
-
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     wide_sources(),
     st.lists(st.floats(-rt.ALPHA_CAP, rt.ALPHA_CAP), max_size=8),
+    st.booleans(),
+    st.booleans(),
 )
-def test_fast_levels_stay_far_inside_the_guard(source, extra_alphas):
-    alphas = np.array(LADDER + [0.0] + extra_alphas)
-    for kind in ("forward_g", "information_i"):
-        fast = rt._fast_levels(source, kind, alphas)
-        exact = np.array([rt._exact_level(source, kind, float(a)) for a in alphas])
-        margin = rt.LEVEL_GUARD / 16 * np.maximum(1.0, np.abs(exact))
-        assert np.all(np.abs(fast - exact) <= margin)
+def test_tilted_rows_match_the_per_order_arrays(source, extra_alphas, empty, zero_symbol):
+    # the ladder, both special orders and drawn orders, some of whose tilts
+    # underflow a symbol to 0; or no order at all; or a source with a
+    # zero-probability symbol, at the orders that allow it (alpha >= 0)
+    alphas = np.array([] if empty else LADDER + [0.0, 1.0] + extra_alphas)
+    if zero_symbol:
+        theta = source.theta.copy()
+        theta[0] = 0.0
+        source = tl.CategoricalSource(source.alphabet, theta / theta.sum())
+        alphas = alphas[alphas >= 0.0]
+    seen = []
+    for rows, p, lp, lq in _tilted_rows(source, alphas):
+        for j, i in enumerate(np.atleast_1d(rows).tolist()):
+            one = (p, lp, lq) if np.ndim(rows) == 0 else (p[j], lp[j], lq)
+            want = _tilted_arrays(source, alphas[i])
+            assert [as_bits(a) for a in one] == [as_bits(a) for a in want], alphas[i]
+            theta = reference_tilted_theta(source, alphas[i])
+            assert as_bits(want[0]) == as_bits(theta[theta > 0])
+            seen.append(i)
+    assert sorted(seen) == list(range(alphas.size))
+    for kind in rt.KINDS:
+        want = [ref.level(source, kind, a) for a in alphas.tolist()]
+        assert as_bits(rt._levels(source, kind, alphas)) == as_bits(want), kind
 
 
 @pytest.mark.parametrize("kind", ["forward_g", "reverse_r"])
@@ -236,3 +276,41 @@ def test_cli_zero_tilted_varentropy_exits_1_with_one_line(capsys, kind):
     assert cli.main(["rate", "--source", path, "--kind", kind, "--t-grid", "5e-324"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("tiltlab: t=5e-324: ") and err.count("\n") == 1
+
+
+def test_grid_just_over_the_budget_is_refused_before_solving():
+    source = shipped("s77_sample")
+    over = DEFAULT_BUDGET // len(source.alphabet) + 1  # (t x symbols) entries
+    lo, hi = rt._domain(source, "reverse_r")
+    with pytest.raises(BudgetExceeded, match="rate grid budget"):
+        rt.rate_points(source, "reverse_r", np.full(over, 0.5 * (lo + hi)))
+    with pytest.raises(BudgetExceeded, match="rate grid budget"):
+        rt.rate_curve(source, "reverse_r", n_samples=over)
+
+
+def test_cli_grid_over_the_budget_exits_1(capsys, tmp_path):
+    path = str(tl.builtin_spec_path("s77_sample"))
+    out = tmp_path / "rate.csv"
+    argv = ["rate", "--source", path, "--kind", "r", "--samples", "100000000", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert "rate grid budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rate_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # each row's sums are single-threaded dots, so the thread pool size
+    # cannot move a digit
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"rate_{threads}.csv"
+        done = subprocess.run(
+            [sys.executable, "-m", "tiltlab.cli", "rate", "--kind", "r",
+             "--source", str(tl.builtin_spec_path("s77_sample")), "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert done.returncode == 0, done.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]

@@ -1,7 +1,8 @@
 """Tilt moments read from the tilt's support arrays, against the path that
 builds each tilted source and reads the source-level measures.
 
-The oracle below is that path: `tilt` builds the order-alpha source, and
+The oracle below is that path, in the one-order, one-vector reference
+bodies of reference_measures.py: `tilt` builds the order-alpha source, and
 `cross_entropy`, `entropy` and `varentropy` read it.  The i.i.d. sweep points
 and `approx_set_size` must keep its bits (the typical-set bounds are held to
 the reference ledger, which builds its tilt the same way, in
@@ -20,6 +21,7 @@ from tiltlab.errors import DegenerateVariance
 from tiltlab.measures import _on_support, _tilted_arrays
 from tiltlab.numeric import _exp_or_inf
 
+import reference_measures as ref
 from conftest import categorical_sources, random_hmm, random_markov
 
 IID = ("s2", "s3", "s77_sample")
@@ -46,15 +48,15 @@ def grid_with_extremes():
 # -- the oracle: build the tilt, then read the source-level measures --------
 
 def oracle_sweep_stats(source, n, alpha):
-    tilted = tl.tilt(source, alpha)
-    return tl.cross_entropy(tilted, source, n), tl.entropy(tilted, n), tl.varentropy(tilted, n)
+    tilted = ref.tilt(source, alpha)
+    return ref.cross_entropy(tilted, source, n), ref.entropy(tilted, n), ref.varentropy(tilted, n)
 
 
 def oracle_approx_set_size(source, alpha, epsilon, n):
     tl.validate(source)
-    tilted = tl.tilt(source, alpha)
-    h = tl.entropy(tilted, n)
-    v = tl.varentropy(tilted, n)
+    tilted = ref.tilt(source, alpha)
+    h = ref.entropy(tilted, n)
+    v = ref.varentropy(tilted, n)
     if v <= 1e-12:
         raise DegenerateVariance("tilted varentropy is numerically zero")
     a = abs(alpha) * n * epsilon
@@ -87,7 +89,7 @@ def test_tilted_arrays_are_the_tilts_support_arrays(name):
     source = shipped(name)
     for alpha in grid_with_extremes().tolist() + [0.0, 1.0]:
         got = _tilted_arrays(source, alpha)
-        want = _on_support(tl.tilt(source, alpha), source)
+        want = _on_support(ref.tilt(source, alpha), source)
         assert [as_bits(a) for a in got] == [as_bits(a) for a in want], alpha
 
 
