@@ -4,6 +4,12 @@ Subcommands: tilt, measures, guesswork, typical, rate, approx, verify.
 Tabular results are CSV with a leading '#' metadata comment (source hash,
 n, package version); structured reports are JSON.  Exit codes: 0 ok,
 1 computation error, 2 config/parse error, 3 verification failure.
+
+CSV rows are assembled as bytes, a block of rows at a time: each column
+gives a padded byte matrix for the block (floats and other coded values
+from a table of their distinct texts, ints from numpy digits, strings from
+their symbols' bytes), the matrices sit side by side with the separators,
+and dropping the padding leaves the block's text.
 """
 from __future__ import annotations
 
@@ -12,8 +18,11 @@ import hashlib
 import json
 import os
 import sys
+from collections.abc import Sequence
 from contextlib import nullcontext
-from itertools import accumulate, chain
+from dataclasses import dataclass
+from functools import cache
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -48,61 +57,182 @@ def _fmt(value) -> str:
 
 #: rows formatted and written at a time
 _CSV_BLOCK = 1 << 16
+#: padding: a byte UTF-8 never uses, removed before a block is decoded
+_PAD = 0xFF
+#: most words in the table a string column gathers its words from
+_WORDS = 1 << 12
 
 
+@cache
+def _quads() -> np.ndarray:
+    """Four-byte digit groups by index, one uint32 each: i < 10**4 is i with
+    its leading zeros, 10**4 + i is i without them (a number's leading group),
+    and 2 * 10**4 is all `_PAD` (a group above the leading one).  Built on
+    first use, not on import."""
+    i = np.arange(10_000)[:, None]
+    digits = (i // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    leading = np.where(i >= np.array([1000, 100, 10, 0]), digits, _PAD).astype(np.uint8)
+    quads = np.vstack([digits, leading, np.full((1, 4), _PAD, np.uint8)]).view(np.uint32).ravel()
+    quads.setflags(write=False)  # shared by every caller
+    return quads
+
+
+@dataclass(frozen=True)
 class _Strings:
-    """The length-n strings of a rank table at given lexicographic indices,
-    decoded a slice at a time."""
+    """The length-n strings of a rank table at given lexicographic indices."""
 
-    def __init__(self, table: gw.RankTable, lex_indices: np.ndarray):
-        self.symbols = table.source.alphabet.symbols
-        self.n = table.n
-        self.lex_indices = lex_indices
-
-    def __len__(self) -> int:
-        return len(self.lex_indices)
-
-    def __getitem__(self, rows: slice) -> list[str]:
-        return gw._decode_strings(self.symbols, self.n, self.lex_indices[rows])
+    table: gw.RankTable
+    lex_indices: np.ndarray
 
 
-def _column_texts(column):
-    """(row count, function giving the CSV texts of rows start:stop) of a column.
+@dataclass(frozen=True)
+class _Coded:
+    """A column given as one code per row into a short sequence of values."""
 
-    A float array is formatted with repr once per distinct bit pattern (so
-    -0.0, nan and subnormals keep their text) and gathered per row; any other
-    array is formatted with str; `_Strings` are decoded; a list goes through
-    `_fmt` value by value; a tuple is its parts one after another, each by
-    its own rule.
+    values: Sequence
+    codes: np.ndarray
+
+
+def _text_bytes(texts: list[str]) -> np.ndarray:
+    """(len(texts), width) bytes: each text in UTF-8 (surrogates pass), then `_PAD`."""
+    data = "".join(texts).encode("utf-8", "surrogatepass")
+    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+    if len(data) != lengths.sum():  # not all ASCII: count bytes text by text
+        encoded = (t.encode("utf-8", "surrogatepass") for t in texts)
+        lengths = np.fromiter(map(len, encoded), np.intp, len(texts))
+    table = np.full((len(texts), lengths.max(initial=0)), _PAD, np.uint8)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = np.frombuffer(data, np.uint8)
+    return table
+
+
+def _coded_bytes(values, codes: np.ndarray):
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        texts = list(map(repr, values.astype(np.float64, copy=False).tolist()))
+    else:
+        texts = list(map(_fmt, values))
+    table = _text_bytes(texts)
+    return len(codes), lambda start, stop: table.take(codes[start:stop], axis=0)
+
+
+def _int_bytes(values: np.ndarray):
+    values = values.astype(np.int64, copy=False)
+    low, high = int(values.min(initial=0)), int(values.max(initial=0))
+    groups = -(-len(str(max(-low, high))) // 4)
+    table = _quads()
+
+    def matrix(start, stop):
+        v = values[start:stop]
+        magnitude = np.abs(v).view(np.uint64)  # |-2**63| wraps to 2**63, which uint64 holds
+        quads = np.empty((v.size, groups), np.uint32)
+        for j in reversed(range(groups)):  # the least significant group first
+            rest, quad = np.divmod(magnitude, 10_000)
+            index = quad.astype(np.intp) + 10_000 * (rest == 0)
+            if j < groups - 1:
+                index += 10_000 * (magnitude == 0)
+            quads[:, j] = table.take(index)
+            magnitude = rest
+        digits = quads.view(np.uint8)
+        if low >= 0:
+            return digits
+        # the sign goes left of the digits; the padding between them is dropped
+        return np.hstack([np.where(v < 0, ord("-"), _PAD).astype(np.uint8)[:, None], digits])
+
+    return values.size, matrix
+
+
+def _word_bytes(symbols: np.ndarray, length: int) -> np.ndarray:
+    """The bytes of every word of `length` symbols, in lexicographic order."""
+    k = symbols.shape[0]
+    digits = np.indices((k,) * length).reshape(length, -1).T
+    return symbols[digits].reshape(k**length, -1)
+
+
+def _strings_bytes(strings: _Strings):
+    symbols = _text_bytes(list(strings.table.source.alphabet.symbols))
+    k, n = symbols.shape[0], strings.table.n
+    g = 1  # symbols per gathered word
+    while g < n and k ** (g + 1) <= _WORDS:
+        g += 1
+    lengths = [n % g] * (n % g > 0) + [g] * (n // g)  # the leading word may be shorter
+    words = {length: _word_bytes(symbols, length) for length in set(lengths)}
+
+    def matrix(start, stop):
+        rest, parts = strings.lex_indices[start:stop], []
+        for length in reversed(lengths):  # base k**length digits, least significant first
+            rest, digit = np.divmod(rest, k**length)
+            parts.append(words[length].take(digit, axis=0))
+        return np.hstack(parts[::-1])
+
+    return strings.lex_indices.size, matrix
+
+
+def _stacked_bytes(parts: tuple):
+    sizes, matrices = zip(*map(_column_bytes, parts))
+    firsts = list(accumulate(sizes, initial=0))
+
+    def matrix(start, stop):
+        pieces = [
+            part(max(start - first, 0), min(stop - first, size))
+            for part, first, size in zip(matrices, firsts, sizes)
+            if start < first + size and first < stop
+        ]
+        width = max(piece.shape[1] for piece in pieces)
+        return np.vstack([
+            np.pad(piece, ((0, 0), (0, width - piece.shape[1])), constant_values=_PAD)
+            for piece in pieces
+        ])
+
+    return firsts[-1], matrix
+
+
+def _column_bytes(column):
+    """(row count, function giving the bytes of rows start:stop) of a column.
+
+    The bytes are a uint8 matrix with one row per CSV row: the UTF-8 text of
+    the field, padded with `_PAD` to the widest text of the rows.  A float
+    array is coded by its distinct bit patterns, so each is formatted with
+    repr once (-0.0, nan and subnormals keep their text); an int array gets
+    its decimal digits from a table of four-digit groups; `_Strings` gather
+    words of their symbols' bytes by the base-k digits of each index; `_Coded`
+    columns and lists format each value with `_fmt`; a tuple stacks its parts'
+    matrices, each part by its own rule.
     """
     if isinstance(column, tuple):
-        sizes, texts = zip(*map(_column_texts, column))
-        parts = list(zip(texts, accumulate(sizes, initial=0)))
-        return sum(sizes), lambda start, stop: chain.from_iterable(
-            text(max(start - first, 0), max(stop - first, 0)) for text, first in parts
-        )
+        return _stacked_bytes(column)
+    if isinstance(column, _Strings):
+        return _strings_bytes(column)
+    if isinstance(column, _Coded):
+        return _coded_bytes(column.values, column.codes)
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         bits = column.astype(np.float64, copy=False).view(np.int64)
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        texts = np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
-        return len(column), lambda start, stop: texts[inverse[start:stop]].tolist()
-    if isinstance(column, np.ndarray):
-        return len(column), lambda start, stop: map(str, column[start:stop].tolist())
-    if isinstance(column, _Strings):
-        return len(column), lambda start, stop: column[start:stop]
-    return len(column), lambda start, stop: map(_fmt, column[start:stop])
+        distinct, codes = np.unique(bits, return_inverse=True)
+        return _coded_bytes(distinct.view(np.float64), codes)
+    ints = isinstance(column, np.ndarray) and column.dtype.kind in "iu"
+    if ints and np.can_cast(column.dtype, np.int64):  # not uint64 past int64's range
+        return _int_bytes(column)
+    return _coded_bytes(column, np.arange(len(column)))
 
 
 def _write_csv(path, header, columns, meta: dict) -> None:
-    """Write equal-length columns as CSV rows below a '#' metadata line,
-    one block of rows at a time."""
-    sizes, texts = zip(*map(_column_texts, columns))
+    """Write equal-length columns as CSV rows below a '#' metadata line.
+
+    Each block of rows is one byte matrix: the columns' matrices side by
+    side, each followed by its ',' or newline column.  Dropping the `_PAD`
+    bytes leaves the block's text, which is decoded once and written.
+    """
+    sizes, matrices = zip(*map(_column_bytes, columns))
+    separators = [ord(",")] * (len(columns) - 1) + [ord("\n")]
     meta_line = "# " + " ".join(f"{k}={v}" for k, v in meta.items())
     with open(path, "w") if path is not None else nullcontext(sys.stdout) as out:
         out.write(meta_line + "\n" + ",".join(header) + "\n")
         for start in range(0, sizes[0], _CSV_BLOCK):
-            rows = zip(*(text(start, start + _CSV_BLOCK) for text in texts))
-            out.write("\n".join(map(",".join, rows)) + "\n")
+            stop = min(start + _CSV_BLOCK, sizes[0])
+            block = np.hstack([
+                part
+                for matrix, byte in zip(matrices, separators)
+                for part in (matrix(start, stop), np.full((stop - start, 1), byte, np.uint8))
+            ])
+            out.write(block[block != _PAD].tobytes().decode("utf-8", "surrogatepass"))
 
 
 def _write_json(path, payload: dict) -> None:
@@ -133,15 +263,19 @@ def _resolve_budget(args) -> int:
     return src.DEFAULT_BUDGET
 
 
-def _parse_grid(spec: str) -> np.ndarray:
-    """Grid spec: 'v1,v2,...' | 'lin:lo:hi:count' | 'log:lo:hi:count'."""
+def _parse_grid(spec: str, source=None) -> np.ndarray:
+    """Grid spec: 'v1,v2,...' | 'lin:lo:hi:count' | 'log:lo:hi:count'.
+
+    With a `source`, a lin/log count is held to the rate grid budget before
+    the grid is built.
+    """
     try:
-        if spec.startswith("lin:"):
-            _, lo, hi, count = spec.split(":")
-            return np.linspace(float(lo), float(hi), int(count))
-        if spec.startswith("log:"):
-            _, lo, hi, count = spec.split(":")
-            return np.geomspace(float(lo), float(hi), int(count))
+        if spec.startswith(("lin:", "log:")):
+            kind, lo, hi, count = spec.split(":")
+            lo, hi, count = float(lo), float(hi), int(count)
+            if source is not None:
+                rt._require_grid_budget(source, count)
+            return (np.linspace if kind == "lin" else np.geomspace)(lo, hi, count)
         return np.array([float(v) for v in spec.split(",")])
     except ValueError as exc:
         raise SourceSpecError(f"bad grid spec {spec!r}: {exc}") from exc
@@ -168,9 +302,12 @@ def _cmd_tilt(args) -> int:
     source = _categorical(src.load_source(args.source))
     src.validate(source)
     grid = _parse_grid(args.alpha_grid)
-    family = src.tilted_family_sample(source, grid)
+    finite = np.isfinite(grid)
+    thetas = src._tilted_thetas(source, np.where(finite, grid, 1.0))  # rows: tilt's bits
+    failed = ~finite | ~np.isfinite(thetas).all(axis=1)
+    if failed.any():
+        src.tilt(source, grid[failed.argmax()])  # the first failing order raises its error
     header = ["alpha"] + [f"theta_{s}" for s in source.alphabet.symbols]
-    thetas = np.array([t.theta for t in family]).reshape(grid.size, len(source.alphabet))
     _write_csv(args.out, header, [grid, *thetas.T], _source_meta(args))
     return 0
 
@@ -194,9 +331,11 @@ def _cmd_guesswork(args) -> int:
     table = gw.build_rank_table(source, args.n, _resolve_budget(args))
     meta = _source_meta(args)
     g = np.arange(1, table.size + 1)
-    columns = [_Strings(table, table.order), table.log_probs[table.order], g, g[::-1]]
+    ranked = table.level_of[table.order]  # log_probs[order] and pmf() as codes
+    columns = [_Strings(table, table.order), _Coded(table.levels, ranked), g, g[::-1]]
     _write_csv(args.out, ["string", "logprob_nats", "G", "R"], columns, meta)
-    _write_csv(_sibling(args.out, "_pmf"), ["rank", "probability"], [g, table.pmf()], meta)
+    pmf = _Coded(np.exp(table.levels), ranked)
+    _write_csv(_sibling(args.out, "_pmf"), ["rank", "probability"], [g, pmf], meta)
     return 0
 
 
@@ -208,7 +347,7 @@ def _cmd_typical(args) -> int:
     meta.update(alpha=args.alpha, epsilon=args.epsilon)
     names = ("A", "B", "D", "E")
     members = [report.members(name) for name in names]
-    set_names = np.repeat(names, [m.size for m in members])
+    set_names = _Coded(names, np.repeat(np.arange(len(names)), [m.size for m in members]))
     strings = _Strings(report.table, np.concatenate(members))
     _write_csv(args.out, ["set_name", "member"], [set_names, strings], meta)
     bounds = report.bounds
@@ -222,7 +361,7 @@ def _cmd_rate(args) -> int:
     source = _categorical(src.load_source(args.source))
     kind = {"g": "forward_g", "r": "reverse_r", "i": "information_i"}[args.kind]
     if args.t_grid:
-        curve = rt.rate_points(source, kind, _parse_grid(args.t_grid))
+        curve = rt.rate_points(source, kind, _parse_grid(args.t_grid, source))
     else:
         curve = rt.rate_curve(source, kind, n_samples=args.samples)
     meta = _source_meta(args)
@@ -250,9 +389,9 @@ def _cmd_approx(args) -> int:
     # overlay: exact staircase plus the stitched approximation, long format;
     # exact ranks are ints and curve ranks floats, so they stay separate parts
     columns = [
-        np.array(["exact"] * table.size + branches, dtype=object),
+        (_Coded(["exact"], np.broadcast_to(0, table.size)), branches),
         (np.arange(1, table.size + 1), curve["guesswork_rank"]),
-        np.concatenate([table.pmf(), curve["probability"]]),
+        (_Coded(np.exp(table.levels), table.level_of[table.order]), curve["probability"]),
     ]
     _write_csv(_sibling(args.out, "_overlay"), ["series", "rank", "probability"], columns, meta)
     return 0

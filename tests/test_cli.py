@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,15 @@ class TestTiltCommand:
         assert run(
             "tilt", "--source", s3_path, "--alpha-grid", "nope:1:2", "--out", str(tmp_path / "x")
         ) == 2
+
+    @pytest.mark.parametrize("grid", ["1,nan,inf", "0.5,inf,nan", "-2,-inf,nan,2"])
+    def test_first_bad_order_in_grid_order_is_reported(self, capsys, s3_path, grid):
+        """One batched tilt reports the order a lone tilt per order reports first."""
+        source = tl.load_source(s3_path)
+        with pytest.raises(InvalidInput) as lone:
+            tl.tilted_family_sample(source, [float(a) for a in grid.split(",")])
+        assert run("tilt", "--source", s3_path, f"--alpha-grid={grid}") == 2
+        assert capsys.readouterr().err == f"tiltlab: config error: {lone.value}\n"
 
 
 class TestMeasuresCommand:
@@ -238,6 +248,23 @@ class TestRateCommand:
         assert lines[1] == "kind,alpha,t_nats,J_nats,dJdt,d2Jdt2"
         assert len(lines) == 23
         assert lines[2].startswith("forward_g,")
+
+    @pytest.mark.parametrize("spacing", ["lin", "log"])
+    def test_grid_past_the_budget_fails_before_it_is_built(self, capsys, spacing):
+        spec = str(tl.builtin_spec_path("s77_sample"))
+        grid = f"{spacing}:0.1:0.5:10000000"  # 80 MB of float64 when built
+        tracemalloc.start()
+        try:
+            code = run("rate", "--source", spec, "--kind", "r", "--t-grid", grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"tiltlab: 10000000 levels of t over 77 symbols exceed the rate grid budget "
+            f"{DEFAULT_BUDGET}\n"
+        )
+        assert peak < 8_000_000
 
     def test_explicit_t_grid(self, tmp_path, s2_path):
         out = tmp_path / "rate.csv"

@@ -1,6 +1,7 @@
 """The column-wise CSV writer against the row-wise reference writer, byte for byte."""
 import contextlib
 import io
+import json
 from itertools import chain
 from unittest import mock
 
@@ -76,10 +77,26 @@ def rank_columns(draw, size):
 
 
 @st.composite
-def tables(draw):
+def coded_columns(draw, size):
+    """A short column of values, drawn as any plain column is, and a code per row."""
+    make = draw(st.sampled_from([float_columns, int_columns, str_lists]))
+    values = draw(make(draw(st.integers(1, 6))))
+    codes = draw(hnp.arrays(np.intp, size, elements=st.integers(0, len(values) - 1)))
+    return cli._Coded(values, codes)
+
+
+@st.composite
+def stacked_columns(draw, size):
+    """A tuple of two parts of any kinds, so that blocks split it anywhere."""
+    first = draw(st.integers(0, size))
+    kinds = st.sampled_from([float_columns, int_columns, str_lists, coded_columns])
+    return (draw(draw(kinds)(first)), draw(draw(kinds)(size - first)))
+
+
+@st.composite
+def tables(draw, kinds=(float_columns, int_columns, str_lists, rank_columns)):
     size = draw(st.integers(0, 40))
-    kinds = st.sampled_from([float_columns, int_columns, str_lists, rank_columns])
-    makers = draw(st.lists(kinds, min_size=1, max_size=5))
+    makers = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5))
     return [draw(make(size)) for make in makers]
 
 
@@ -87,6 +104,8 @@ def reference_cells(column):
     """The values the row-wise writer received for a column."""
     if isinstance(column, tuple):
         return list(chain(*(reference_cells(part) for part in column)))
+    if isinstance(column, cli._Coded):
+        return [column.values[code] for code in column.codes]
     return list(column)
 
 
@@ -106,6 +125,54 @@ def test_columns_match_the_row_writer(columns, block):
     with mock.patch.object(cli, "_CSV_BLOCK", block):
         got = written(cli._write_csv, header, columns, META)
     assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(kinds=(coded_columns, stacked_columns, int_columns)), st.integers(1, 9))
+def test_coded_and_stacked_columns_match_the_row_writer(columns, block):
+    header = [f"c{i}" for i in range(len(columns))]
+    rows = zip(*(reference_cells(c) for c in columns))
+    expected = written(ref.write_csv, header, rows, META)
+    with mock.patch.object(cli, "_CSV_BLOCK", block):
+        got = written(cli._write_csv, header, columns, META)
+    assert got == expected
+
+
+@pytest.mark.parametrize("block", range(1, 10))
+def test_blocks_split_a_tuple_between_its_parts(block):
+    """Parts of unequal widths: 5 ints (one negative), 2 floats and 2 texts."""
+    column = (np.array([1, -20, 300, 4000, 50000]), np.array([0.5, -1e-300]), ["x", "\u00e9"])
+    other = np.arange(9) * 7
+    rows = zip(reference_cells(column), other)
+    expected = written(ref.write_csv, ["a", "b"], rows, META)
+    with mock.patch.object(cli, "_CSV_BLOCK", block):
+        assert written(cli._write_csv, ["a", "b"], [column, other], META) == expected
+
+
+def test_int_texts_are_str_at_the_int64_extremes():
+    edges = [-(2**63), -(2**63) + 1, -10001, -10000, -9999, -1, 0, 1, 9999, 10000, 2**63 - 1]
+    column = np.array(edges, dtype=np.int64)
+    assert written(cli._write_csv, ["n"], [column], META).splitlines()[2:] == list(map(str, edges))
+
+
+def test_texts_keep_surrogates_nul_and_multibyte_characters():
+    texts = ["\ud800", "a\x00b", "\x00", "\u65e5\u672c", "\U0001f600", "", "\udcff\ud83d"]
+    column = cli._Coded(texts, np.array([6, 5, 4, 3, 2, 1, 0, 0]))
+    rows = zip(reference_cells(column), texts + ["z"])
+    expected = written(ref.write_csv, ["c", "t"], rows, META)
+    assert written(cli._write_csv, ["c", "t"], [column, texts + ["z"]], META) == expected
+
+
+def test_rank_table_codes_give_the_pmf_and_log_prob_bits():
+    """The CLI writes log_probs[order] and pmf() as level codes into levels
+    and exp(levels); both must give every rank's bits."""
+    for name, n in (("s2", 10), ("s3", 6), ("s3_markov", 6), ("s3_hmm", 5), ("s77_sample", 2)):
+        table = tl.build_rank_table(tl.load_source(tl.builtin_spec_path(name)), n)
+        ranked = table.level_of[table.order]
+        assert np.array_equal(table.levels[ranked].view(np.int64),
+                              table.log_probs[table.order].view(np.int64))
+        assert np.array_equal(np.exp(table.levels)[ranked].view(np.int64),
+                              table.pmf().view(np.int64))
 
 
 def test_float_texts_keep_every_bit_pattern():
@@ -168,6 +235,49 @@ def test_cli_matches_the_row_writer(tmp_path, argv):
     assert sorted(p.name for p in (tmp_path / "new").iterdir()) == old
     for name in old:
         assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+
+
+#: symbols of several characters and of unequal UTF-8 byte lengths (2, 6, 2, 1)
+WIDE_SYMBOLS = {"kind": "categorical", "alphabet": ["\u00e9", "\u65e5\u672c", "ab", "z"],
+                "probs": [0.4, 0.25, 0.2, 0.15]}
+
+
+def same_files_as_the_row_writer(tmp_path, argv) -> None:
+    for side in ("new", "old"):
+        (tmp_path / side).mkdir()
+    assert cli.main(argv + ["--out", str(tmp_path / "new" / "out.csv")]) == ref.main(
+        argv + ["--out", str(tmp_path / "old" / "out.csv")]
+    )
+    old = sorted(p.name for p in (tmp_path / "old").iterdir())
+    assert sorted(p.name for p in (tmp_path / "new").iterdir()) == old
+    for name in old:
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+
+
+@pytest.fixture()
+def wide_spec(tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(WIDE_SYMBOLS))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["guesswork", "--n", "5"],
+    ["typical", "--n", "5", "--alpha", "0.5", "--epsilon", "0.2"],
+    ["approx", "--n", "4"],  # writes no strings, but its overlay codes the levels
+], ids=lambda argv: argv[0])
+def test_cli_matches_the_row_writer_on_multibyte_symbols(tmp_path, wide_spec, argv):
+    same_files_as_the_row_writer(tmp_path, argv[:1] + ["--source", wide_spec] + argv[1:])
+    if argv[0] != "approx":
+        assert "\u65e5\u672c" in (tmp_path / "new" / "out.csv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("words", [1, 4, 16, 64])
+def test_strings_gathered_in_words_of_any_length(tmp_path, wide_spec, words):
+    """Word tables of 1, 1, 2 and 3 symbols: n = 5 splits into a shorter
+    leading word and full ones, or into single symbols."""
+    with mock.patch.object(cli, "_WORDS", words):
+        same_files_as_the_row_writer(tmp_path, ["guesswork", "--source", wide_spec, "--n", "5"])
 
 
 def test_cli_stdout_matches_the_row_writer(capsys):
