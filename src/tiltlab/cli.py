@@ -263,18 +263,17 @@ def _resolve_budget(args) -> int:
     return src.DEFAULT_BUDGET
 
 
-def _parse_grid(spec: str, source=None) -> np.ndarray:
+def _parse_grid(spec: str, source, what: str) -> np.ndarray:
     """Grid spec: 'v1,v2,...' | 'lin:lo:hi:count' | 'log:lo:hi:count'.
 
-    With a `source`, a lin/log count is held to the rate grid budget before
-    the grid is built.
+    A lin/log count of `what` (named in the error) is held to the rate grid
+    budget over the source's alphabet before the grid is built.
     """
     try:
         if spec.startswith(("lin:", "log:")):
             kind, lo, hi, count = spec.split(":")
             lo, hi, count = float(lo), float(hi), int(count)
-            if source is not None:
-                rt._require_grid_budget(source, count)
+            rt._require_grid_budget(source, count, what)
             return (np.linspace if kind == "lin" else np.geomspace)(lo, hi, count)
         return np.array([float(v) for v in spec.split(",")])
     except ValueError as exc:
@@ -301,7 +300,7 @@ def _categorical(source) -> src.CategoricalSource:
 def _cmd_tilt(args) -> int:
     source = _categorical(src.load_source(args.source))
     src.validate(source)
-    grid = _parse_grid(args.alpha_grid)
+    grid = _parse_grid(args.alpha_grid, source, "tilt orders")
     finite = np.isfinite(grid)
     thetas = src._tilted_thetas(source, np.where(finite, grid, 1.0))  # rows: tilt's bits
     failed = ~finite | ~np.isfinite(thetas).all(axis=1)
@@ -361,7 +360,7 @@ def _cmd_rate(args) -> int:
     source = _categorical(src.load_source(args.source))
     kind = {"g": "forward_g", "r": "reverse_r", "i": "information_i"}[args.kind]
     if args.t_grid:
-        curve = rt.rate_points(source, kind, _parse_grid(args.t_grid, source))
+        curve = rt.rate_points(source, kind, _parse_grid(args.t_grid, source, "levels of t"))
     else:
         curve = rt.rate_curve(source, kind, n_samples=args.samples)
     meta = _source_meta(args)
@@ -375,7 +374,7 @@ def _cmd_rate(args) -> int:
 def _cmd_approx(args) -> int:
     source = src.load_source(args.source)
     budget = _resolve_budget(args)
-    grid = _parse_grid(args.alpha_grid) if args.alpha_grid else None
+    grid = _parse_grid(args.alpha_grid, source, "tilt orders") if args.alpha_grid else None
     grid = ax._sweep_grid(source, args.n, grid)[0]  # input errors before enumerating
     table = gw.build_rank_table(source, args.n, budget)
     points = ax.approx_pmf_curve(

@@ -111,7 +111,6 @@ class RankTable:
 
     source: SequenceSource
     n: int
-    log_probs: np.ndarray  # indexed by lexicographic string index
     order: np.ndarray  # rank - 1  -> lexicographic string index
     rank_of: np.ndarray  # lexicographic string index -> G
     levels: np.ndarray  # log-prob per level (per type class for an i.i.d. table)
@@ -119,7 +118,12 @@ class RankTable:
 
     @property
     def size(self) -> int:
-        return self.log_probs.size
+        return self.level_of.size
+
+    @cached_property
+    def log_probs(self) -> np.ndarray:
+        """`levels[level_of]`, by lexicographic string index: gathered on first read, read-only."""
+        return _read_only(self.levels[self.level_of])[0]
 
     def index_of(self, x) -> int:
         try:
@@ -183,7 +187,8 @@ class RankTable:
             idx = self.order[start : start + _RECORDS_CHUNK]
             strings = _decode_strings(self.source.alphabet.symbols, self.n, idx)
             ranks = range(start + 1, start + idx.size + 1)
-            for x, logp, r in zip(strings, self.log_probs[idx].tolist(), ranks):
+            logps = self.levels[self.level_of[idx]].tolist()
+            for x, logp, r in zip(strings, logps, ranks):
                 yield x, logp, r, size + 1 - r
 
     def tie_groups(self) -> np.ndarray:
@@ -208,16 +213,16 @@ def build_rank_table(
 
     Only the levels (`_word_levels`) are sorted and grouped: the
     C(n+k-1, k-1) type classes of an i.i.d. source, the distinct log-prob
-    bit patterns of a Markov or hidden Markov one.  The table keeps the
-    log-probs `_word_levels` gives; every string's tie-group key is a gather
-    from its level, and one stable sort on that integer key gives the rank order.
+    bit patterns of a Markov or hidden Markov one.  Every string's tie-group
+    key is a gather from its level, and one stable sort on that integer key
+    gives the rank order.
     """
-    logp, levels, level_of = _word_levels(source, n, budget)
+    levels, level_of = _word_levels(source, n, budget)
     order = _rank_order(levels, level_of, TIE_TOL_PER_SYMBOL * n)
-    rank_of = np.empty(logp.size, dtype=np.int64)
-    rank_of[order] = np.arange(1, logp.size + 1)
-    _read_only(logp, order, rank_of, levels, level_of)
-    return RankTable(source=source, n=n, log_probs=logp, order=order, rank_of=rank_of,
+    rank_of = np.empty(level_of.size, dtype=np.int64)
+    rank_of[order] = np.arange(1, level_of.size + 1)
+    _read_only(order, rank_of, levels, level_of)
+    return RankTable(source=source, n=n, order=order, rank_of=rank_of,
                      levels=levels, level_of=level_of)
 
 

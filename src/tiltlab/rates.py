@@ -31,7 +31,7 @@ from .measures import (
     _tilted_arrays,
     _tilted_rows,
 )
-from .sources import DEFAULT_BUDGET, CategoricalSource, validate
+from .sources import DEFAULT_BUDGET, CategoricalSource, SequenceSource, validate
 
 KINDS = ("forward_g", "reverse_r", "information_i")
 
@@ -263,13 +263,14 @@ class RateCurve:
     d2_rate: np.ndarray
 
 
-def _require_grid_budget(source: CategoricalSource, size: int) -> None:
-    """At most DEFAULT_BUDGET (t, symbol) entries in a grid of `size` levels:
-    every bisection step holds a few arrays of that many floats."""
+def _require_grid_budget(source: SequenceSource, size: int, what: str = "levels of t") -> None:
+    """At most DEFAULT_BUDGET (grid point, symbol) entries in a grid of `size`
+    `what`: every bisection step or tilt sweep holds a few arrays of that many
+    floats."""
     k = len(source.alphabet)
     if size * k > DEFAULT_BUDGET:
         raise BudgetExceeded(
-            f"{size} levels of t over {k} symbols exceed the rate grid budget {DEFAULT_BUDGET}"
+            f"{size} {what} over {k} symbols exceed the rate grid budget {DEFAULT_BUDGET}"
         )
 
 

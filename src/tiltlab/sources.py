@@ -184,8 +184,10 @@ def _tilted_thetas(source: CategoricalSource, alphas: np.ndarray) -> np.ndarray:
             "some symbol probability is 0"
         )
     general = (alphas != 1.0) & (alphas != 0.0)
-    lt = np.multiply.outer(alphas[general], source.log_theta)
-    rows = np.exp(lt - _log_sum_exp_rows(lt)[:, None])
+    # a huge order overflows to non-finite rows, which the callers' rules reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        lt = np.multiply.outer(alphas[general], source.log_theta)
+        rows = np.exp(lt - _log_sum_exp_rows(lt)[:, None])
     if np.count_nonzero(general) == alphas.size:
         return rows
     k = len(source.alphabet)
@@ -400,27 +402,28 @@ def enumerate_word_log_probs(
     (`_hmm_forward`).  `string_log_prob` runs the same rules on one string.
     """
     if isinstance(source, CategoricalSource):
-        return _word_levels(source, n, budget)[0]
+        levels, level_of = _word_levels(source, n, budget)
+        return levels[level_of]
     require_budget(len(source.alphabet), n, budget)
     return _forward(source)(source, [slice(None)] * n)
 
 
-def _word_levels(source: SequenceSource, n: int, budget: int) -> tuple[np.ndarray, ...]:
-    """(log_probs, levels, level_of) of all length-n strings: `log_probs` is
-    `enumerate_word_log_probs`, and `levels[level_of]` is it bit for bit.
+def _word_levels(source: SequenceSource, n: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, level_of) of all length-n strings: `levels[level_of]` is
+    `enumerate_word_log_probs` bit for bit.
 
     For i.i.d. sources the levels are the type classes' log-probs (0.0, then
-    += count * log theta in alphabet order, skipping zero counts), gathered
-    into `log_probs`; for (hidden) Markov sources, the distinct bit patterns
-    of the enumerated `log_probs`.  `level_of` takes the smallest integer type.
+    += count * log theta in alphabet order, skipping zero counts); for
+    (hidden) Markov sources, the distinct bit patterns of the enumerated
+    log-probs.  `level_of` takes the smallest integer type.
     """
     if isinstance(source, CategoricalSource):
         require_budget(len(source.alphabet), n, budget)
-        levels, level_of = _type_classes(source, n)
-        return levels[level_of], levels, level_of
+        return _type_classes(source, n)
     logp = enumerate_word_log_probs(source, n, budget)
     bits, level_of = np.unique(logp.view(np.int64), return_inverse=True)
-    return logp, bits.view(np.float64), level_of.astype(np.min_scalar_type(bits.size - 1))
+    del logp  # the levels hold its values now
+    return bits.view(np.float64), level_of.astype(np.min_scalar_type(bits.size - 1))
 
 
 def _type_classes(source: CategoricalSource, n: int) -> tuple[np.ndarray, np.ndarray]:

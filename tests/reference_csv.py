@@ -54,7 +54,7 @@ def rate_rows(curve):
 def _tilt(args) -> int:
     source = cli._categorical(src.load_source(args.source))
     src.validate(source)
-    grid = cli._parse_grid(args.alpha_grid)
+    grid = cli._parse_grid(args.alpha_grid, source, "tilt orders")
     family = src.tilted_family_sample(source, grid)
     header = ["alpha"] + [f"theta_{s}" for s in source.alphabet.symbols]
     rows = [[a] + list(t.theta) for a, t in zip(grid, family)]
@@ -96,7 +96,7 @@ def _rate(args) -> int:
     source = cli._categorical(src.load_source(args.source))
     kind = {"g": "forward_g", "r": "reverse_r", "i": "information_i"}[args.kind]
     if args.t_grid:
-        curve = rt.rate_points(source, kind, cli._parse_grid(args.t_grid))
+        curve = rt.rate_points(source, kind, cli._parse_grid(args.t_grid, source, "levels of t"))
     else:
         curve = rt.rate_curve(source, kind, n_samples=args.samples)
     meta = cli._source_meta(args)
@@ -108,7 +108,7 @@ def _rate(args) -> int:
 def _approx(args) -> int:
     source = src.load_source(args.source)
     budget = cli._resolve_budget(args)
-    grid = cli._parse_grid(args.alpha_grid) if args.alpha_grid else None
+    grid = cli._parse_grid(args.alpha_grid, source, "tilt orders") if args.alpha_grid else None
     points = ax.approx_pmf_curve(source, args.n, alpha_grid=grid, budget=budget)
     meta = cli._source_meta(args)
     rows = (

@@ -153,6 +153,7 @@ def test_input_rules_raise_invalid_input(rule):
 
 S3_PATH = str(tl.builtin_spec_path("s3"))
 S3_MARKOV_PATH = str(tl.builtin_spec_path("s3_markov"))
+S77_PATH = str(tl.builtin_spec_path("s77_sample"))
 
 NON_FINITE_INPUTS = {
     "measures order": (
@@ -176,6 +177,11 @@ NON_FINITE_INPUTS = {
         ("typical", "--source", S3_PATH, "--n", "4", "--alpha", "1", "--epsilon", "inf"),
         "epsilon must be positive and finite",
     ),
+    # finite orders whose tilts overflow: no numpy warning comes before the error
+    "tilt grid, huge orders": (
+        ("tilt", "--source", S77_PATH, "--alpha-grid=0,1,-0.0,1e308,-1e308"),
+        "probs entries must be finite and non-negative",
+    ),
 }
 
 
@@ -184,6 +190,25 @@ def test_non_finite_orders_and_widths_exit_2(tmp_path, capsys, argv, message):
     assert run(*argv, "--out", str(tmp_path / "out")) == 2
     assert capsys.readouterr().err == f"tiltlab: config error: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("spacing", ["lin", "log"])
+@pytest.mark.parametrize("argv", [("tilt",), ("approx", "--n", "2")], ids=["tilt", "approx"])
+def test_order_grid_past_the_budget_fails_before_it_is_built(tmp_path, capsys, argv, spacing):
+    grid = f"--alpha-grid={spacing}:0.1:2:10000000"  # 80 MB of float64 when built
+    tracemalloc.start()
+    try:
+        code = run(*argv, "--source", S77_PATH, grid, "--out", str(tmp_path / "out.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"tiltlab: 10000000 tilt orders over 77 symbols exceed the rate grid budget "
+        f"{DEFAULT_BUDGET}\n"
+    )
+    assert not list(tmp_path.iterdir())
+    assert peak < 8_000_000
 
 
 def test_a_huge_n_is_rejected_without_building_k_to_the_n(capsys):

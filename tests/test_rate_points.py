@@ -225,7 +225,8 @@ def test_cli_t_grid_bytes_unchanged(capsys, name, kind, grid):
     assert cli.main(["rate", "--source", path, "--kind", kind, "--t-grid", grid]) == 0
     lines = capsys.readouterr().out.splitlines()
     full_kind = {"g": "forward_g", "r": "reverse_r", "i": "information_i"}[kind]
-    rows = ref.reference_points(shipped(name), full_kind, cli._parse_grid(grid))
+    source = shipped(name)
+    rows = ref.reference_points(source, full_kind, cli._parse_grid(grid, source, "levels of t"))
     assert lines[1] == "kind,alpha,t_nats,J_nats,dJdt,d2Jdt2"
     assert lines[2:] == [",".join(cli._fmt(v) for v in row) for row in rows]
 

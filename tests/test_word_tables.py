@@ -1,11 +1,12 @@
 """Word tables without dead work, and the input rules that guard them.
 
-`_word_levels` hands `build_rank_table` the log-probs it enumerated (chain
-sources) or gathered once from the type classes (i.i.d. sources), with the
-bits of `enumerate_word_log_probs`; the hidden-Markov recursion builds no
-normalized state at its last level; the budget and float-range rules reject
-a huge n without building k^n; a tilt order too large for the tilted levels
-and a negative verification seed are reported as errors.
+`_word_levels` hands `build_rank_table` the levels and each string's level,
+whose gather has the bits of `enumerate_word_log_probs`; a rank table stores
+no per-string log-probs and gathers them only when they are read; the
+hidden-Markov recursion builds no normalized state at its last level; the
+budget and float-range rules reject a huge n without building k^n; a tilt
+order too large for the tilted levels and a negative verification seed are
+reported as errors.
 """
 import time
 import tracemalloc
@@ -18,8 +19,14 @@ from tiltlab import verify
 from tiltlab.errors import BudgetExceeded, InvalidInput, OutOfRange
 from tiltlab.sources import DEFAULT_BUDGET, _word_levels, require_budget
 
+from conftest import random_hmm, random_markov
+
 #: (shipped source, largest n) whose every table is compared
 SHIPPED = (("s2", 8), ("s3", 8), ("s3_markov", 8), ("s3_hmm", 8), ("s77_sample", 2))
+
+#: bytes per string a built `s2` table at n = 20 may hold: `order` and
+#: `rank_of` take 8 each and `level_of` 1; stored log-probs would add 8
+HELD_BYTES_PER_STRING = 20
 
 #: tracemalloc peak per word allowed to the s3_hmm enumeration; with the last
 #: level's normalized state copy it is about 65 B, without it about 48 B
@@ -40,10 +47,43 @@ def bits(values):
 def test_word_levels_give_the_enumerated_bits(name, n_max):
     source = tl.load_source(tl.builtin_spec_path(name))
     for n in range(1, n_max + 1):
-        log_probs, levels, level_of = _word_levels(source, n, DEFAULT_BUDGET)
+        levels, level_of = _word_levels(source, n, DEFAULT_BUDGET)
         enumerated = bits(tl.enumerate_word_log_probs(source, n))
-        np.testing.assert_array_equal(bits(log_probs), enumerated)
         np.testing.assert_array_equal(bits(levels[level_of]), enumerated)
+
+
+def shipped(name):
+    return tl.load_source(tl.builtin_spec_path(name))
+
+
+#: (source maker, its argument, n) of the tables whose log-prob view is read
+VIEWED = [(shipped, name, n) for name, n in SHIPPED] + [
+    (make, seed, 5) for make in (random_markov, random_hmm) for seed in range(12)
+]
+
+
+@pytest.mark.parametrize(
+    "make, arg, n", VIEWED, ids=[f"{make.__name__}-{arg}" for make, arg, _ in VIEWED]
+)
+def test_log_probs_are_gathered_from_the_levels_on_first_read(make, arg, n):
+    source = make(arg)
+    table = tl.build_rank_table(source, n)
+    table.pmf(), table.tie_groups(), table._level_spans  # readers of the levels alone
+    assert "log_probs" not in vars(table)
+    log_probs = table.log_probs
+    assert not log_probs.flags.writeable
+    assert table.log_probs is log_probs
+    np.testing.assert_array_equal(bits(log_probs), bits(tl.enumerate_word_log_probs(source, n)))
+
+
+def test_a_built_table_holds_no_per_string_log_probs(s2):
+    tracemalloc.start()
+    try:
+        table = tl.build_rank_table(s2, 20)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / table.size < HELD_BYTES_PER_STRING
 
 
 def enumeration_peak_per_word(source, n):
