@@ -231,12 +231,20 @@ def guesswork_pmf(table: RankTable) -> np.ndarray:
     return table.pmf()
 
 
+def _set_prob(logp: np.ndarray, members: np.ndarray) -> float:
+    """Probability of a set of strings, given by a mask or by ascending
+    indices: the exponentials of its members' log-probs, gathered in
+    lexicographic order, summed.  The gather is a copy, so the exponentials
+    overwrite it: one set-sized temporary, not two."""
+    probs = logp[members]
+    return float(np.exp(probs, out=probs).sum())
+
+
 def corridor_mass(table: RankTable, ts, epsilon: float) -> list[float]:
     """P{|log G / n - t| < epsilon} for each t: the exact probability of the
     strings whose normalized log-guesswork lies strictly inside the corridor."""
-    probs = np.exp(table.log_probs)
     norm_log_rank = np.log(table.rank_of.astype(np.float64)) / table.n
-    return [float(probs[np.abs(norm_log_rank - t) < epsilon].sum()) for t in ts]
+    return [_set_prob(table.log_probs, np.abs(norm_log_rank - t) < epsilon) for t in ts]
 
 
 # ---------------------------------------------------------------------------
@@ -288,26 +296,35 @@ class SetReport:
     The core set A collects strings whose log-prob lies strictly within
     n*epsilon of the cross-entropy level of the tilt; B is the half of A
     least likely under the tilt; D and E relax the window one-sidedly in
-    tilted log-prob space.
+    tilted log-prob space.  D and E are kept as masks over the table's
+    levels; their members are built on first read.
     """
 
     spec: TypicalSetSpec
     a_members: np.ndarray  # lexicographic indices, ascending
     b_members: np.ndarray
-    d_members: np.ndarray
-    e_members: np.ndarray
+    d_classes: np.ndarray  # mask over table.levels
+    e_classes: np.ndarray
     probability: float  # mu-probability of A
     size: int  # |A|
     bounds: tuple[BoundCheck, ...]
     table: RankTable
 
+    @cached_property
+    def d_members(self) -> np.ndarray:
+        return self._members_of(self.d_classes)
+
+    @cached_property
+    def e_members(self) -> np.ndarray:
+        return self._members_of(self.e_classes)
+
+    def _members_of(self, classes: np.ndarray) -> np.ndarray:
+        table = self.table
+        return np.flatnonzero(_strings_of(table.log_probs, table.levels, classes))
+
     def members(self, set_name: str) -> np.ndarray:
-        return {
-            "A": self.a_members,
-            "B": self.b_members,
-            "D": self.d_members,
-            "E": self.e_members,
-        }[set_name]
+        attr = {"A": "a_members", "B": "b_members", "D": "d_members", "E": "e_members"}[set_name]
+        return getattr(self, attr)
 
     def member_strings(self, set_name: str) -> list[str]:
         table = self.table
@@ -408,15 +425,13 @@ def typical_set(
     tilted_width = abs(alpha) * n * eps
     d_classes = tilted > -h_tilt - tilted_width
     e_classes = tilted < -h_tilt + tilted_width
-    a_mask, d_mask, e_mask = (_strings_of(logp, levels, c) for c in (a_classes, d_classes, e_classes))
-    a_idx = np.flatnonzero(a_mask)
+    a_idx = np.flatnonzero(_strings_of(logp, levels, a_classes))
     first, last, sizes = table._level_spans
     b_idx = _least_tilted_half(a_idx, level_of.take(a_idx), a_classes, sizes[a_classes], tilted)
 
-    probs = np.exp(logp)
-    prob_a = float(probs[a_mask].sum())
-    prob_d = float(probs[d_mask].sum())
-    prob_e = float(probs[e_mask].sum())
+    prob_a = _set_prob(logp, a_idx)
+    prob_d = _set_prob(logp, _strings_of(logp, levels, d_classes))
+    prob_e = _set_prob(logp, _strings_of(logp, levels, e_classes))
     size_a = int(a_idx.size)
 
     # the size and rank bounds share their thresholds; a lower bound is
@@ -476,8 +491,8 @@ def typical_set(
         spec=spec,
         a_members=a_idx,
         b_members=b_idx,
-        d_members=np.flatnonzero(d_mask),
-        e_members=np.flatnonzero(e_mask),
+        d_classes=_read_only(d_classes)[0],
+        e_classes=_read_only(e_classes)[0],
         probability=prob_a,
         size=size_a,
         bounds=tuple(checks),

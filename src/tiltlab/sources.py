@@ -429,42 +429,58 @@ def _word_levels(source: SequenceSource, n: int, budget: int) -> tuple[np.ndarra
 def _type_classes(source: CategoricalSource, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Log-prob of every type class, and the class of every length-n string.
 
-    A type class is a composition c of n into k symbol counts.  It is numbered
-    by the colex rank of its stars-and-bars form, with the bars at the suffix
-    sums q_i = c_{k-1-i} + ... + c_{k-1} (i = 0..k-2):
-    rank = sum_i C(q_i + i, i + 1).  Unranking finds q_{k-2} first, which
-    yields the counts c_0, c_1, ... in alphabet order, so the class log-prob
-    is accumulated exactly as a per-string count vector would give it.
+    A type class is a multiset of n symbols.  It is numbered by the position of
+    its sorted symbol tuple in lexicographic order, the order of
+    `itertools.combinations_with_replacement`.  The tuples of length j that
+    start with symbol b are b followed by the length-(j-1) tuples that start
+    at b or above, which are the last C(j-1 + k-1-b, k-1-b) of them; so the
+    C(n+k-1, k-1) tuples are built in O(n C) steps.  A class's log-prob is
+    summed over the runs of its tuple in ascending symbol order: 0.0, then
+    += count * log theta for each symbol that occurs.
 
-    A length-j prefix is held as the class of its counts plus n - j padding
-    counts on symbol 0.  Appending symbol s moves one padding count to s: q_i
-    grows by one for i >= k-1-s, and the rank by sum_{i >= k-1-s} C(q_i + i, i).
-    `succ[r, s]` is that successor for the C(n+k-2, k-1) classes that still
-    hold padding, which are the lowest ranks.  The strings' classes are then
-    built one symbol at a time, one gather per level, in lexicographic order.
+    A length-j prefix is held as the class of its symbols plus n - j padding
+    zeros.  Appending symbol s turns one padding zero into s; `succ[r, s]` is
+    that successor for the C(n+k-2, k-1) classes that hold a zero, which are
+    the lowest ranks.  It is found from each class's stars-and-bars form, the
+    suffix sums q_i = c_{k-1-i} + ... + c_{k-1} of its counts c: the rank is
+    sum_i C(q_i + i, i + 1), and appending s adds one to q_i for
+    i >= k-1-s, so the rank grows by sum_{i >= k-1-s} C(q_i + i, i).  The
+    strings' classes are then built one symbol at a time, one gather per
+    level, in lexicographic order.
     """
     k = len(source.alphabet)
-    log_theta = source.log_theta
     n_classes = math.comb(n + k - 1, k - 1)
     n_padded = math.comb(n + k - 2, k - 1)
     dtype = np.min_scalar_type(n_classes - 1)
 
-    rem = np.arange(n_classes, dtype=np.int64)
+    tuples = np.arange(k, dtype=np.min_scalar_type(k - 1))[:, None]
+    for j in range(2, n + 1):
+        longer = np.empty((math.comb(j + k - 1, k - 1), j), dtype=tuples.dtype)
+        row = 0
+        for b in range(k):
+            tail = tuples[-math.comb(j + k - 2 - b, k - 1 - b):]
+            longer[row : row + tail.shape[0], 0] = b
+            longer[row : row + tail.shape[0], 1:] = tail
+            row += tail.shape[0]
+        tuples = longer
     levels = np.zeros(n_classes)
+    run_start = np.zeros(n_classes, dtype=np.int64)
+    for j in range(n):
+        symbol = tuples[:, j]
+        ends = np.flatnonzero(symbol != tuples[:, j + 1]) if j + 1 < n else slice(None)
+        levels[ends] += (j + 1 - run_start[ends]) * source.log_theta[symbol[ends]]
+        run_start[ends] = j + 1
+    del tuples, run_start
+
+    rem = np.arange(n_padded, dtype=np.int64)
     succ = np.empty((n_padded, k), dtype=dtype)
-    succ[:, 0] = np.arange(n_padded)  # symbol 0 takes the padding count
-    above = np.full(n_classes, n, dtype=np.int64)  # q_{i+1}; q_{k-1} = n
-    with np.errstate(invalid="ignore"):  # 0 * log 0, masked out below
-        for i in range(k - 2, -1, -1):
-            bar_rank = np.array([math.comb(v + i, i + 1) for v in range(n + 1)])
-            q = np.searchsorted(bar_rank, rem, side="right") - 1
-            rem -= bar_rank[q]
-            count = above - q  # c_{k-2-i}
-            np.add(levels, count * log_theta[k - 2 - i], out=levels, where=count > 0)
-            step = np.array([math.comb(v + i, i) for v in range(n)])
-            succ[:, k - 1 - i] = succ[:, k - 2 - i] + step[q[:n_padded]]
-            above = q
-        np.add(levels, above * log_theta[k - 1], out=levels, where=above > 0)
+    succ[:, 0] = rem  # symbol 0 takes the padding count
+    for i in range(k - 2, -1, -1):
+        bar_rank = np.array([math.comb(v + i, i + 1) for v in range(n + 1)])
+        q = np.searchsorted(bar_rank, rem, side="right") - 1
+        rem -= bar_rank[q]
+        step = np.array([math.comb(v + i, i) for v in range(n)])
+        succ[:, k - 1 - i] = succ[:, k - 2 - i] + step[q]
 
     level_of = np.zeros(1, dtype=dtype)
     for _ in range(n):

@@ -5,14 +5,16 @@ of bound rows: each threshold and extreme is written out (some twice), the
 empty-set rule is repeated per bound, and ranks are copied to float64.  An
 upper threshold beyond the float range raises OverflowError here.  The
 library must give the same rows, members, probability and size, bit for bit,
-wherever this version does not raise.
+wherever this version does not raise.  It returns its own record, which
+stores all four member lists.
 """
 import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from tiltlab.guesswork import BoundCheck, RankTable, SetReport, TypicalSetSpec, build_rank_table
+from tiltlab.guesswork import BoundCheck, RankTable, TypicalSetSpec, build_rank_table
 from tiltlab.sources import DEFAULT_BUDGET, CategoricalSource, validate
 
 from reference_measures import (
@@ -23,6 +25,29 @@ from reference_measures import (
     relative_entropy,
     tilt,
 )
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceReport:
+    """The attributes of `SetReport` that the reference fills, members stored."""
+
+    spec: TypicalSetSpec
+    a_members: np.ndarray
+    b_members: np.ndarray
+    d_members: np.ndarray
+    e_members: np.ndarray
+    probability: float
+    size: int
+    bounds: tuple[BoundCheck, ...]
+    table: RankTable
+
+    def members(self, set_name: str) -> np.ndarray:
+        return {
+            "A": self.a_members,
+            "B": self.b_members,
+            "D": self.d_members,
+            "E": self.e_members,
+        }[set_name]
 
 
 def _min_over(values: np.ndarray, mask: np.ndarray) -> float:
@@ -40,7 +65,7 @@ def typical_set(
     spec: TypicalSetSpec,
     budget: int = DEFAULT_BUDGET,
     table: Optional[RankTable] = None,
-) -> SetReport:
+) -> ReferenceReport:
     """Build the typical set of the requested order and evaluate its bounds."""
     validate(source)
     n, alpha, eps = spec.n, spec.alpha, spec.epsilon
@@ -187,7 +212,7 @@ def typical_set(
         )
     )
 
-    return SetReport(
+    return ReferenceReport(
         spec=spec,
         a_members=a_idx,
         b_members=b_idx,

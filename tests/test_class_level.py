@@ -8,6 +8,7 @@ patterns of its strings' log-probs, so its build must also keep the
 reference rank order and the enumerated log-prob bits.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,3 +195,47 @@ def test_ledger_sorts_no_strings(name, n, monkeypatch):
     monkeypatch.setattr(np, "sort", small_only(np.sort))
     for spec, key in zip(specs, expected):
         assert report_key(tl.typical_set(source, spec, table=table)) == key
+
+
+#: the 15-query ledger of the benchmark's typical_ledger job
+LEDGER_SPECS = [(alpha, eps) for alpha in (-2.0, -0.5, 0.5, 1.0, 2.0) for eps in (0.05, 0.1, 0.2)]
+
+
+def test_d_and_e_members_are_not_built_for_the_bounds(s3):
+    table = tl.build_rank_table(s3, 8)
+    for alpha, eps in LEDGER_SPECS:
+        report = tl.typical_set(s3, tl.TypicalSetSpec(alpha=alpha, epsilon=eps, n=8), table=table)
+        assert [b.flag for b in report.bounds] and report.probability >= 0.0
+        report.members("A"), report.members("B"), report.all_passed
+        assert "d_members" not in vars(report) and "e_members" not in vars(report)
+
+
+@pytest.mark.parametrize("name, n", [("s2", 10), ("s3", 7), ("s77_sample", 2)])
+def test_first_read_of_d_and_e_members_matches_reference_and_is_kept(name, n):
+    source = tl.load_source(tl.builtin_spec_path(name))
+    table = tl.build_rank_table(source, n)
+    for alpha, eps in LEDGER_SPECS:
+        spec = tl.TypicalSetSpec(alpha=alpha, epsilon=eps, n=n)
+        report = tl.typical_set(source, spec, table=table)
+        expected = ref.typical_set(source, spec, table=table)
+        for set_name, attr in (("D", "d_members"), ("E", "e_members")):
+            members = report.members(set_name)
+            np.testing.assert_array_equal(members, expected.members(set_name))
+            assert members.dtype == expected.members(set_name).dtype
+            assert vars(report)[attr] is members and getattr(report, attr) is members
+
+
+def test_ledger_reports_hold_no_d_or_e_members(s3):
+    # the 15 reports of the s3 n=12 ledger held 116.8 MB while every report
+    # kept its D and E members; A and B members alone take about 34 MB
+    table = tl.build_rank_table(s3, 12)
+    table.log_probs, table._level_spans  # the table's own arrays stay out of the count
+    specs = [tl.TypicalSetSpec(alpha=alpha, epsilon=eps, n=12) for alpha, eps in LEDGER_SPECS]
+    tracemalloc.start()
+    try:
+        reports = [tl.typical_set(s3, spec, table=table) for spec in specs]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 15
+    assert held < 40 * 2**20

@@ -7,6 +7,7 @@ import pytest
 
 import tiltlab as tl
 from tiltlab import approx as ax
+from tiltlab import guesswork as gw
 from tiltlab import measures as ms
 from tiltlab import rates as rt
 from tiltlab.cli import main
@@ -320,6 +321,20 @@ class TestApproxCommand:
         monkeypatch.setattr(ax, "enumerate_word_log_probs", enumerate_again)
         path = str(tl.builtin_spec_path(name))
         assert run("approx", "--source", path, "--n", "5", "--out", str(tmp_path / "a.csv")) == 0
+
+    def test_iid_sweep_gathers_no_word_log_probs(self, tmp_path, monkeypatch):
+        # the i.i.d. sweep tilts theta, so the table's log-probs stay unread
+        tables, build = [], gw.build_rank_table
+
+        def spy(*args, **kwargs):
+            tables.append(build(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(gw, "build_rank_table", spy)
+        path = str(tl.builtin_spec_path("s77_sample"))
+        assert run("approx", "--source", path, "--n", "3", "--out", str(tmp_path / "a.csv")) == 0
+        assert len(tables) == 1
+        assert "log_probs" not in vars(tables[0])
 
     def test_string_count_beyond_the_float_range_exits_1(self, capsys, s2_path):
         assert run("approx", "--source", s2_path, "--n", "1100") == 1

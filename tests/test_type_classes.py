@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 import tiltlab as tl
 from tiltlab.cli import main
 from tiltlab.errors import BudgetExceeded
+from tiltlab.sources import _type_classes
 
 from reference_rank_table import reference_rank_table
+from reference_type_classes import reference_type_classes
 
 
 def assert_matches_reference(source, n):
@@ -66,6 +68,70 @@ def test_near_equal_class_levels_merge_into_one_tie_group():
     merged = [g for g in np.split(sorted_logp, first[1:]) if np.unique(g).size > 1]
     assert np.unique(sorted_logp).size == 3003
     assert len(merged) == 41
+
+
+def assert_classes_match_reference(source, n):
+    levels, level_of = _type_classes(source, n)
+    expected_levels, expected_level_of = reference_type_classes(source, n)
+    assert levels.dtype == expected_levels.dtype == np.float64
+    np.testing.assert_array_equal(levels.view(np.int64), expected_levels.view(np.int64))
+    assert level_of.dtype == expected_level_of.dtype
+    np.testing.assert_array_equal(level_of, expected_level_of)
+
+
+@st.composite
+def class_sources(draw):
+    """k in 2..40, real or small integer weights (bit-equal class levels), some 0."""
+    k = draw(st.integers(2, 40))
+    weight = st.one_of(
+        st.floats(min_value=0.01, max_value=1.0, allow_nan=False),
+        st.integers(0, 3).map(float),
+    )
+    raw = np.array(draw(st.lists(weight, min_size=k, max_size=k)))
+    raw[draw(st.integers(0, k - 1))] += 1.0  # some weight is positive
+    symbols = tl.Alphabet(tuple(f"s{i}" for i in range(k)))
+    return tl.CategoricalSource(symbols, raw / raw.sum())
+
+
+@settings(max_examples=40, deadline=None)
+@given(class_sources())
+def test_class_levels_match_the_unranking_reference(source):
+    k, n = len(source.alphabet), 1
+    while k**n <= 2**20:
+        assert_classes_match_reference(source, n)
+        n += 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_s77_class_levels_match_the_unranking_reference(n):
+    assert_classes_match_reference(tl.load_source(tl.builtin_spec_path("s77_sample")), n)
+
+
+def test_classes_are_numbered_in_sorted_tuple_order():
+    source = tl.CategoricalSource(tl.letters(4), [0.1, 0.2, 0.3, 0.4])
+    levels, level_of = _type_classes(source, 3)
+    tuples = list(itertools.combinations_with_replacement(range(4), 3))
+    assert levels.size == len(tuples)
+    for index, word in enumerate(itertools.product(range(4), repeat=3)):
+        assert tuples[level_of[index]] == tuple(sorted(word))
+
+
+def test_class_build_searches_only_the_padded_classes(monkeypatch):
+    # the class levels come from the sorted tuples; only the successor table
+    # unranks, and it covers the C(n+k-2, k-1) classes that hold padding
+    source = tl.load_source(tl.builtin_spec_path("s77_sample"))
+    n, k = 3, len(source.alphabet)
+    padded = math.comb(n + k - 2, k - 1)
+    searchsorted, sizes = np.searchsorted, []
+
+    def guarded(a, v, *args, **kwargs):
+        sizes.append(max(np.size(a), np.size(v)))
+        assert sizes[-1] <= padded, "searched more than the padded classes"
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", guarded)
+    _type_classes(source, n)
+    assert sizes
 
 
 class TestZeroProbabilitySymbol:
