@@ -32,7 +32,8 @@ TIE_TOL_PER_SYMBOL = 1e-12
 
 
 def _tie_group_ids(descending: np.ndarray, tie_tol: float) -> np.ndarray:
-    """Tie-group id, counted from 1, of each entry of a non-increasing sequence.
+    """Tie-group id, counted from 1, of each entry of a non-increasing sequence,
+    in the smallest unsigned integer type that holds the number of groups.
 
     A new group starts where a value lies more than tie_tol below the one
     before it, so near-equal values chain into one group.
@@ -41,7 +42,7 @@ def _tie_group_ids(descending: np.ndarray, tie_tol: float) -> np.ndarray:
     starts[0] = True
     with np.errstate(invalid="ignore"):
         np.greater(descending[:-1] - descending[1:], tie_tol, out=starts[1:])
-    return np.cumsum(starts)
+    return np.cumsum(starts, dtype=np.min_scalar_type(np.count_nonzero(starts)))
 
 
 def _rank_order(levels: np.ndarray, level_of: np.ndarray, tie_tol: float) -> np.ndarray:
@@ -55,13 +56,16 @@ def _rank_order(levels: np.ndarray, level_of: np.ndarray, tie_tol: float) -> np.
     """
     by_level = np.argsort(-levels)  # order among equal levels does not matter
     ids = _tie_group_ids(levels[by_level], tie_tol)
-    group = np.empty(levels.size, dtype=np.min_scalar_type(ids[-1]))
+    group = np.empty(levels.size, dtype=ids.dtype)
     group[by_level] = ids
     return np.argsort(group[level_of], kind="stable")
 
 
 #: rows decoded at a time by `RankTable.records`
 _RECORDS_CHUNK = 1 << 16
+
+#: ranks scattered into `rank_of` at a time by `build_rank_table`
+_RANK_BLOCK = 1 << 16
 
 
 def _decode_strings(symbols: tuple[str, ...], n: int, lex_indices: np.ndarray) -> list[str]:
@@ -192,7 +196,9 @@ class RankTable:
                 yield x, logp, r, size + 1 - r
 
     def tie_groups(self) -> np.ndarray:
-        """Group id per rank position; equal ids mean tied probabilities.
+        """Group id per rank position, counted from 1 in the smallest unsigned
+        integer type that holds the number of groups; equal ids mean tied
+        probabilities.
 
         Groups chain the rank-ordered log-probs, so near-equal levels whose
         strings interleave in lexicographic order can split a block that the
@@ -220,7 +226,9 @@ def build_rank_table(
     levels, level_of = _word_levels(source, n, budget)
     order = _rank_order(levels, level_of, TIE_TOL_PER_SYMBOL * n)
     rank_of = np.empty(level_of.size, dtype=np.int64)
-    rank_of[order] = np.arange(1, level_of.size + 1)
+    for start in range(0, order.size, _RANK_BLOCK):
+        block = order[start : start + _RANK_BLOCK]
+        rank_of[block] = np.arange(start + 1, start + block.size + 1)
     _read_only(order, rank_of, levels, level_of)
     return RankTable(source=source, n=n, order=order, rank_of=rank_of,
                      levels=levels, level_of=level_of)

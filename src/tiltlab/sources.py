@@ -349,6 +349,10 @@ def _markov_forward(source: MarkovSource, levels) -> np.ndarray:
     return logp.reshape(-1)
 
 
+#: words per block of the hidden-Markov enumeration below its first level
+_HMM_BLOCK = 1 << 16
+
+
 def _hmm_forward(source: HiddenMarkovSource, levels) -> np.ndarray:
     """Scaled forward recursion: the log-prob of every word whose j-th symbol
     runs over the emission rows `levels[j]` selects, in lexicographic order.
@@ -359,19 +363,41 @@ def _hmm_forward(source: HiddenMarkovSource, levels) -> np.ndarray:
     A slice (all symbols) keeps `emission.T` a column-major view, which sets
     the first level's summation order bit for bit; later products are built
     in C order, so their `reshape` is a view, not a copy.
+
+    The first level is one block.  Below it the prefixes are expanded depth
+    first, in blocks of at most `_HMM_BLOCK` words (at least one prefix), and
+    the last level's words are written into one output: a prefix's row is
+    computed alone, so the block height leaves every bit as it is, and only
+    one block per level is alive.
     """
     emission_t = source.emission.T  # (symbols, states)
-    logp, prior = np.zeros(1), source.initial[None, :]
-    for j, symbols in enumerate(levels, 1):
-        emit = emission_t[symbols]
-        product = np.multiply(prior[:, None, :], emit[None], order="K" if j == 1 else "C")
+    emits = [emission_t[symbols] for symbols in levels]
+    widths = [len(emit) for emit in emits]
+    out = np.empty(math.prod(widths))
+    # (levels applied, index of the first row among that level's prefixes, states, log-probs)
+    stack = [(0, 0, source.initial[None, :], np.zeros(1))]
+    while stack:
+        j, first, prior, logp = stack.pop()
+        rows = max(1, _HMM_BLOCK // widths[j])
+        if logp.size > rows:  # split; the lowest rows are expanded first
+            stack.extend((j, first + lo, prior[lo : lo + rows], logp[lo : lo + rows])
+                         for lo in reversed(range(0, logp.size, rows)))
+            continue
+        last = j + 1 == len(emits)
+        product = np.multiply(prior[:, None, :], emits[j][None], order="K" if j == 0 else "C")
         forward = product.reshape(-1, source.n_states)
         scale = forward.sum(axis=1)
-        with np.errstate(divide="ignore"):
-            logp = np.repeat(logp, len(emit)) + np.log(scale)
-        if j < len(levels):
+        if not last:
             prior = (forward / np.where(scale > 0, scale, 1.0)[:, None]) @ source.transition
-    return logp
+        del product, forward
+        first *= widths[j]
+        words = out[first : first + scale.size] if last else np.empty(scale.size)
+        with np.errstate(divide="ignore"):
+            np.add(np.repeat(logp, widths[j]), np.log(scale), out=words)
+        if not last:
+            stack.append((j + 1, first, prior, words))
+        del scale, prior, logp, words  # nothing of this block outlives it but its stack entry
+    return out
 
 
 def _require_length(n: int) -> None:
@@ -415,15 +441,25 @@ def _word_levels(source: SequenceSource, n: int, budget: int) -> tuple[np.ndarra
     For i.i.d. sources the levels are the type classes' log-probs (0.0, then
     += count * log theta in alphabet order, skipping zero counts); for
     (hidden) Markov sources, the distinct bit patterns of the enumerated
-    log-probs.  `level_of` takes the smallest integer type.
+    log-probs, ascending as int64, and each word's level is the number of
+    runs of equal bits before its own in the sorted bits.  `level_of` takes
+    the smallest integer type.
     """
     if isinstance(source, CategoricalSource):
         require_budget(len(source.alphabet), n, budget)
         return _type_classes(source, n)
-    logp = enumerate_word_log_probs(source, n, budget)
-    bits, level_of = np.unique(logp.view(np.int64), return_inverse=True)
-    del logp  # the levels hold its values now
-    return bits.view(np.float64), level_of.astype(np.min_scalar_type(bits.size - 1))
+    bits = enumerate_word_log_probs(source, n, budget).view(np.int64)
+    perm = np.argsort(bits)  # any sort: equal bits share a level whatever their order
+    bits = bits[perm]
+    starts = np.empty(bits.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    levels = bits[starts].view(np.float64)
+    del bits
+    starts[0] = False  # a run's index counts the runs that start before it
+    level_of = np.empty(starts.size, dtype=np.min_scalar_type(levels.size - 1))
+    level_of[perm] = np.cumsum(starts, dtype=level_of.dtype)
+    return levels, level_of
 
 
 def _type_classes(source: CategoricalSource, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,9 @@ with the first level written out before the loop.  `reference_hmm_log_prob`
 is the old per-string recursion over a 1-D forward vector, which returns
 -inf as soon as a prefix has probability 0.  The shared recursion must give
 the same floats, bit for bit.
+
+`reference_word_levels` is the old level index of a chain table: `np.unique`
+on the int64 views of the enumerated log-probs.
 """
 import numpy as np
 
@@ -49,3 +52,11 @@ def reference_hmm_log_prob(source, x):
     if total <= 0.0:
         return -np.inf
     return lp + float(np.log(total))
+
+
+def reference_word_levels(logp):
+    """(levels, level_of) of enumerated log-probs: the distinct bit patterns,
+    ascending as int64, and each word's index among them in the smallest
+    integer type."""
+    bits, level_of = np.unique(logp.view(np.int64), return_inverse=True)
+    return bits.view(np.float64), level_of.astype(np.min_scalar_type(bits.size - 1))

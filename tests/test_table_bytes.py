@@ -1,0 +1,167 @@
+"""Rank tables in few bytes per string, with every bit kept.
+
+The hidden-Markov enumeration expands its prefixes in blocks below the first
+level; its words must have the old recursion's bits whatever the block height
+and the BLAS thread count.  A chain table's level index is built from one
+sort of the enumerated bits and must equal `np.unique`'s.  The build's
+tracemalloc peak per string is bounded, and `tie_groups()` takes the smallest
+unsigned integer type that holds the number of groups.
+"""
+import hashlib
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import tiltlab as tl
+from tiltlab import sources
+from tiltlab.sources import DEFAULT_BUDGET, _word_levels
+
+from conftest import random_hmm, random_markov
+from reference_sources import reference_hmm_word_log_probs, reference_word_levels
+from test_word_tables import enumeration_peak_per_word
+
+#: largest n of the block-height checks
+BLOCK_N_MAX = 8
+
+#: block heights checked, in words; None is one prefix (k words), "7k" seven
+BLOCKS = (1, None, "7k", 4096)
+
+#: block heights checked under each BLAS thread count: those whose matrix
+#: products have many rows (one prefix's product has k rows)
+THREADED_BLOCKS = ("7k", 4096, sources._HMM_BLOCK)
+
+#: tracemalloc peak per string allowed to a chain build at n = 12; the
+#: `np.unique` level index peaked at 49 B, one sort of the bits at 24 B
+CHAIN_BUILD_BYTES_PER_STRING = 30
+
+#: the same for `s2` at n = 20: 25 B with an N-sized `arange` for `rank_of`
+#: and int64 tie groups in the build, 17.5 B without
+S2_BUILD_BYTES_PER_STRING = 20
+
+#: tracemalloc peak per word allowed to the s3_hmm enumeration at n = 13:
+#: 48 B with the last level whole, about 12 B in 2^16-word blocks
+HMM_BLOCK_PEAK_BYTES_PER_WORD = 16
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def block_words(block, k):
+    return {None: k, "7k": 7 * k}.get(block, block)
+
+
+def hmm_sources():
+    return [tl.load_source(tl.builtin_spec_path("s3_hmm"))] + [random_hmm(seed) for seed in range(12)]
+
+
+def hmm_block_digest():
+    """Check the multi-row block heights against the reference recursion, and
+    return a digest of the words' bits; run in a subprocess per BLAS thread
+    count, since it sets the block constant."""
+    digest = hashlib.sha256()
+    for source in hmm_sources():
+        for n in range(1, BLOCK_N_MAX + 1):
+            want = bits(reference_hmm_word_log_probs(source, n))
+            for block in THREADED_BLOCKS:
+                sources._HMM_BLOCK = block_words(block, len(source.alphabet))
+                got = bits(tl.enumerate_word_log_probs(source, n))
+                assert np.array_equal(got, want), (source, n, block)
+            digest.update(want.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("block", BLOCKS, ids=lambda b: f"block-{b or 'k'}")
+def test_hmm_blocks_keep_the_reference_bits(block, monkeypatch):
+    for source in hmm_sources():
+        monkeypatch.setattr(sources, "_HMM_BLOCK", block_words(block, len(source.alphabet)))
+        for n in range(1, BLOCK_N_MAX + 1):
+            got = bits(tl.enumerate_word_log_probs(source, n))
+            np.testing.assert_array_equal(got, bits(reference_hmm_word_log_probs(source, n)))
+
+
+def test_s3_hmm_default_blocks_keep_the_reference_bits(s3_hmm):
+    got = bits(tl.enumerate_word_log_probs(s3_hmm, 12))
+    np.testing.assert_array_equal(got, bits(reference_hmm_word_log_probs(s3_hmm, 12)))
+
+
+def test_hmm_block_bits_do_not_depend_on_the_blas_thread_count():
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                         os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", "import test_table_bytes as t; print(t.hmm_block_digest())"],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert digests[0] == digests[1]
+
+
+def test_hmm_block_enumeration_peak_per_word(s3_hmm):
+    assert enumeration_peak_per_word(s3_hmm, 13) < HMM_BLOCK_PEAK_BYTES_PER_WORD
+
+
+def shipped(name):
+    return tl.load_source(tl.builtin_spec_path(name))
+
+
+#: (source maker, its argument, largest n) of the chain level indexes checked
+CHAINS = [(shipped, "s3_markov", 12), (shipped, "s3_hmm", 12)] + [
+    (make, seed, 6) for make in (random_markov, random_hmm) for seed in range(12)
+]
+
+
+@pytest.mark.parametrize(
+    "make, arg, n_max", CHAINS, ids=[f"{make.__name__}-{arg}" for make, arg, _ in CHAINS]
+)
+def test_chain_level_index_matches_np_unique(make, arg, n_max):
+    source = make(arg)
+    infinite = False
+    for n in range(1, n_max + 1):
+        levels, level_of = _word_levels(source, n, DEFAULT_BUDGET)
+        logp = tl.enumerate_word_log_probs(source, n)
+        want_levels, want_level_of = reference_word_levels(logp)
+        np.testing.assert_array_equal(bits(levels), bits(want_levels))
+        np.testing.assert_array_equal(level_of, want_level_of)
+        assert level_of.dtype == want_level_of.dtype
+        infinite |= bool(np.isneginf(logp).any())
+    # zero transitions give every random Markov source words at -inf
+    assert make is not random_markov or infinite
+
+
+def build_peak_per_string(source, n):
+    tl.build_rank_table(source, n)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        table = tl.build_rank_table(source, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / table.size
+
+
+@pytest.mark.parametrize(
+    "name, n, bound",
+    [("s3_markov", 12, CHAIN_BUILD_BYTES_PER_STRING), ("s3_hmm", 12, CHAIN_BUILD_BYTES_PER_STRING),
+     ("s2", 20, S2_BUILD_BYTES_PER_STRING)],
+)
+def test_build_peak_per_string(name, n, bound):
+    assert build_peak_per_string(shipped(name), n) < bound
+
+
+@pytest.mark.parametrize(
+    "name, n, groups, dtype", [("s2", 20, 21, np.uint8), ("s3_markov", 10, 1467, np.uint16)]
+)
+def test_tie_groups_take_the_smallest_unsigned_type(name, n, groups, dtype):
+    found = tl.build_rank_table(shipped(name), n).tie_groups()
+    assert found.dtype == dtype
+    assert int(found[-1]) == groups
