@@ -5,11 +5,13 @@ Tabular results are CSV with a leading '#' metadata comment (source hash,
 n, package version); structured reports are JSON.  Exit codes: 0 ok,
 1 computation error, 2 config/parse error, 3 verification failure.
 
-CSV rows are assembled as bytes, a block of rows at a time: each column
-gives a padded byte matrix for the block (floats and other coded values
-from a table of their distinct texts, ints from numpy digits, strings from
-their symbols' bytes), the matrices sit side by side with the separators,
-and dropping the padding leaves the block's text.
+CSV rows are assembled as bytes, a block of rows at a time.  Each column
+names its encoder, which gives a padded byte matrix for the block: floats
+and other coded values from a table of their distinct texts, ints from
+numpy digits, strings from their symbols' bytes.  The matrices sit side by
+side with the separators, and dropping the padding leaves the block's text.
+A table is written as row groups one after another, such as the exact
+staircase and then the stitched curve of the `approx` overlay.
 """
 from __future__ import annotations
 
@@ -18,11 +20,8 @@ import hashlib
 import json
 import os
 import sys
-from collections.abc import Sequence
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -77,22 +76,6 @@ def _quads() -> np.ndarray:
     return quads
 
 
-@dataclass(frozen=True)
-class _Strings:
-    """The length-n strings of a rank table at given lexicographic indices."""
-
-    table: gw.RankTable
-    lex_indices: np.ndarray
-
-
-@dataclass(frozen=True)
-class _Coded:
-    """A column given as one code per row into a short sequence of values."""
-
-    values: Sequence
-    codes: np.ndarray
-
-
 def _text_bytes(texts: list[str]) -> np.ndarray:
     """(len(texts), width) bytes: each text in UTF-8 (surrogates pass), then `_PAD`."""
     data = "".join(texts).encode("utf-8", "surrogatepass")
@@ -106,6 +89,9 @@ def _text_bytes(texts: list[str]) -> np.ndarray:
 
 
 def _coded_bytes(values, codes: np.ndarray):
+    """A column of one code per row into `values`, each formatted once: floats
+    with repr, others with `_fmt`.  A short list is its own column through the
+    codes `np.arange(len(values))`."""
     if isinstance(values, np.ndarray) and values.dtype.kind == "f":
         texts = list(map(repr, values.astype(np.float64, copy=False).tolist()))
     else:
@@ -114,7 +100,16 @@ def _coded_bytes(values, codes: np.ndarray):
     return len(codes), lambda start, stop: table.take(codes[start:stop], axis=0)
 
 
+def _float_bytes(values: np.ndarray):
+    """Floats coded by their distinct bit patterns, so each is formatted with
+    repr once (-0.0, nan payloads and subnormals keep their text)."""
+    bits = values.astype(np.float64, copy=False).view(np.int64)
+    distinct, codes = np.unique(bits, return_inverse=True)
+    return _coded_bytes(distinct.view(np.float64), codes)
+
+
 def _int_bytes(values: np.ndarray):
+    """Ints as decimal digits from the table of four-digit groups."""
     values = values.astype(np.int64, copy=False)
     low, high = int(values.min(initial=0)), int(values.max(initial=0))
     groups = -(-len(str(max(-low, high))) // 4)
@@ -147,9 +142,12 @@ def _word_bytes(symbols: np.ndarray, length: int) -> np.ndarray:
     return symbols[digits].reshape(k**length, -1)
 
 
-def _strings_bytes(strings: _Strings):
-    symbols = _text_bytes(list(strings.table.source.alphabet.symbols))
-    k, n = symbols.shape[0], strings.table.n
+def _strings_bytes(table: gw.RankTable, lex_indices: np.ndarray):
+    """The length-n strings of a rank table at given lexicographic indices,
+    gathered as words of their symbols' bytes by the base-k digits of each
+    index."""
+    symbols = _text_bytes(list(table.source.alphabet.symbols))
+    k, n = symbols.shape[0], table.n
     g = 1  # symbols per gathered word
     while g < n and k ** (g + 1) <= _WORDS:
         g += 1
@@ -157,82 +155,40 @@ def _strings_bytes(strings: _Strings):
     words = {length: _word_bytes(symbols, length) for length in set(lengths)}
 
     def matrix(start, stop):
-        rest, parts = strings.lex_indices[start:stop], []
+        rest, parts = lex_indices[start:stop], []
         for length in reversed(lengths):  # base k**length digits, least significant first
             rest, digit = np.divmod(rest, k**length)
             parts.append(words[length].take(digit, axis=0))
         return np.hstack(parts[::-1])
 
-    return strings.lex_indices.size, matrix
+    return lex_indices.size, matrix
 
 
-def _stacked_bytes(parts: tuple):
-    sizes, matrices = zip(*map(_column_bytes, parts))
-    firsts = list(accumulate(sizes, initial=0))
+def _write_csv(path, header, meta: dict, *groups) -> None:
+    """Write row groups, one after another, as CSV rows below a '#' metadata line.
 
-    def matrix(start, stop):
-        pieces = [
-            part(max(start - first, 0), min(stop - first, size))
-            for part, first, size in zip(matrices, firsts, sizes)
-            if start < first + size and first < stop
-        ]
-        width = max(piece.shape[1] for piece in pieces)
-        return np.vstack([
-            np.pad(piece, ((0, 0), (0, width - piece.shape[1])), constant_values=_PAD)
-            for piece in pieces
-        ])
-
-    return firsts[-1], matrix
-
-
-def _column_bytes(column):
-    """(row count, function giving the bytes of rows start:stop) of a column.
-
-    The bytes are a uint8 matrix with one row per CSV row: the UTF-8 text of
-    the field, padded with `_PAD` to the widest text of the rows.  A float
-    array is coded by its distinct bit patterns, so each is formatted with
-    repr once (-0.0, nan and subnormals keep their text); an int array gets
-    its decimal digits from a table of four-digit groups; `_Strings` gather
-    words of their symbols' bytes by the base-k digits of each index; `_Coded`
-    columns and lists format each value with `_fmt`; a tuple stacks its parts'
-    matrices, each part by its own rule.
+    A group is a list of equal-length columns, one per header field, each an
+    encoder's (row count, function giving the bytes of rows start:stop): a
+    uint8 matrix with one row per CSV row, the field's UTF-8 text padded with
+    `_PAD` to the widest text of the rows.  Each block of a group's rows is one
+    byte matrix: the columns' matrices side by side, each followed by its ','
+    or newline column.  Dropping the `_PAD` bytes leaves the block's text,
+    which is decoded once and written.
     """
-    if isinstance(column, tuple):
-        return _stacked_bytes(column)
-    if isinstance(column, _Strings):
-        return _strings_bytes(column)
-    if isinstance(column, _Coded):
-        return _coded_bytes(column.values, column.codes)
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        bits = column.astype(np.float64, copy=False).view(np.int64)
-        distinct, codes = np.unique(bits, return_inverse=True)
-        return _coded_bytes(distinct.view(np.float64), codes)
-    ints = isinstance(column, np.ndarray) and column.dtype.kind in "iu"
-    if ints and np.can_cast(column.dtype, np.int64):  # not uint64 past int64's range
-        return _int_bytes(column)
-    return _coded_bytes(column, np.arange(len(column)))
-
-
-def _write_csv(path, header, columns, meta: dict) -> None:
-    """Write equal-length columns as CSV rows below a '#' metadata line.
-
-    Each block of rows is one byte matrix: the columns' matrices side by
-    side, each followed by its ',' or newline column.  Dropping the `_PAD`
-    bytes leaves the block's text, which is decoded once and written.
-    """
-    sizes, matrices = zip(*map(_column_bytes, columns))
-    separators = [ord(",")] * (len(columns) - 1) + [ord("\n")]
+    separators = [ord(",")] * (len(header) - 1) + [ord("\n")]
     meta_line = "# " + " ".join(f"{k}={v}" for k, v in meta.items())
     with open(path, "w") if path is not None else nullcontext(sys.stdout) as out:
         out.write(meta_line + "\n" + ",".join(header) + "\n")
-        for start in range(0, sizes[0], _CSV_BLOCK):
-            stop = min(start + _CSV_BLOCK, sizes[0])
-            block = np.hstack([
-                part
-                for matrix, byte in zip(matrices, separators)
-                for part in (matrix(start, stop), np.full((stop - start, 1), byte, np.uint8))
-            ])
-            out.write(block[block != _PAD].tobytes().decode("utf-8", "surrogatepass"))
+        for group in groups:
+            sizes, matrices = zip(*group)
+            for start in range(0, sizes[0], _CSV_BLOCK):
+                stop = min(start + _CSV_BLOCK, sizes[0])
+                block = np.hstack([
+                    part
+                    for matrix, byte in zip(matrices, separators)
+                    for part in (matrix(start, stop), np.full((stop - start, 1), byte, np.uint8))
+                ])
+                out.write(block[block != _PAD].tobytes().decode("utf-8", "surrogatepass"))
 
 
 def _write_json(path, payload: dict) -> None:
@@ -253,14 +209,17 @@ def _source_meta(args) -> dict:
 
 def _resolve_budget(args) -> int:
     if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV)
-    if env:
+        budget, name = args.budget, "--budget"
+    elif env := os.environ.get(BUDGET_ENV):
         try:
-            return int(env)
+            budget, name = int(env), BUDGET_ENV
         except ValueError:
             raise SourceSpecError(f"{BUDGET_ENV}={env!r} is not an integer") from None
-    return src.DEFAULT_BUDGET
+    else:
+        return src.DEFAULT_BUDGET
+    if budget < 1:
+        raise InvalidInput(f"{name} must be at least 1, got {budget}")
+    return budget
 
 
 def _parse_grid(spec: str, source, what: str) -> np.ndarray:
@@ -307,7 +266,7 @@ def _cmd_tilt(args) -> int:
     if failed.any():
         src.tilt(source, grid[failed.argmax()])  # the first failing order raises its error
     header = ["alpha"] + [f"theta_{s}" for s in source.alphabet.symbols]
-    _write_csv(args.out, header, [grid, *thetas.T], _source_meta(args))
+    _write_csv(args.out, header, _source_meta(args), list(map(_float_bytes, [grid, *thetas.T])))
     return 0
 
 
@@ -331,10 +290,11 @@ def _cmd_guesswork(args) -> int:
     meta = _source_meta(args)
     g = np.arange(1, table.size + 1)
     ranked = table.level_of[table.order]  # log_probs[order] and pmf() as codes
-    columns = [_Strings(table, table.order), _Coded(table.levels, ranked), g, g[::-1]]
-    _write_csv(args.out, ["string", "logprob_nats", "G", "R"], columns, meta)
-    pmf = _Coded(np.exp(table.levels), ranked)
-    _write_csv(_sibling(args.out, "_pmf"), ["rank", "probability"], [g, pmf], meta)
+    strings, ranks = _strings_bytes(table, table.order), _int_bytes(g)
+    columns = [strings, _coded_bytes(table.levels, ranked), ranks, _int_bytes(g[::-1])]
+    _write_csv(args.out, ["string", "logprob_nats", "G", "R"], meta, columns)
+    pmf = _coded_bytes(np.exp(table.levels), ranked)
+    _write_csv(_sibling(args.out, "_pmf"), ["rank", "probability"], meta, [ranks, pmf])
     return 0
 
 
@@ -346,13 +306,13 @@ def _cmd_typical(args) -> int:
     meta.update(alpha=args.alpha, epsilon=args.epsilon)
     names = ("A", "B", "D", "E")
     members = [report.members(name) for name in names]
-    set_names = _Coded(names, np.repeat(np.arange(len(names)), [m.size for m in members]))
-    strings = _Strings(report.table, np.concatenate(members))
-    _write_csv(args.out, ["set_name", "member"], [set_names, strings], meta)
-    bounds = report.bounds
-    columns = [[b.bound_id for b in bounds], [b.lhs for b in bounds],
-               [b.rhs for b in bounds], [b.flag for b in bounds]]
-    _write_csv(_sibling(args.out, "_bounds"), ["bound_id", "lhs", "rhs", "pass"], columns, meta)
+    set_names = _coded_bytes(names, np.repeat(np.arange(len(names)), [m.size for m in members]))
+    strings = _strings_bytes(report.table, np.concatenate(members))
+    _write_csv(args.out, ["set_name", "member"], meta, [set_names, strings])
+    fields = ("bound_id", "lhs", "rhs", "flag")
+    rows = np.arange(len(report.bounds))
+    columns = [_coded_bytes([getattr(b, f) for b in report.bounds], rows) for f in fields]
+    _write_csv(_sibling(args.out, "_bounds"), ["bound_id", "lhs", "rhs", "pass"], meta, columns)
     return 0 if report.all_passed else 1
 
 
@@ -365,9 +325,10 @@ def _cmd_rate(args) -> int:
         curve = rt.rate_curve(source, kind, n_samples=args.samples)
     meta = _source_meta(args)
     meta["kind"] = args.kind
-    columns = [[curve.kind] * curve.t.size, curve.alpha, curve.t, curve.rate, curve.d_rate,
-               curve.d2_rate]
-    _write_csv(args.out, ["kind", "alpha", "t_nats", "J_nats", "dJdt", "d2Jdt2"], columns, meta)
+    kinds = _coded_bytes([curve.kind], np.broadcast_to(0, curve.t.size))
+    values = [curve.alpha, curve.t, curve.rate, curve.d_rate, curve.d2_rate]
+    header = ["kind", "alpha", "t_nats", "J_nats", "dJdt", "d2Jdt2"]
+    _write_csv(args.out, header, meta, [kinds, *map(_float_bytes, values)])
     return 0
 
 
@@ -384,17 +345,16 @@ def _cmd_approx(args) -> int:
     )
     meta = _source_meta(args)
     fields = ("alpha", "level_nats", "approx_rank", "guesswork_rank", "probability")
-    curve = {f: np.array([getattr(p, f) for p in points]) for f in fields}
-    branches = [p.branch for p in points]
-    _write_csv(args.out, ["branch", *fields], [branches, *curve.values()], meta)
-    # overlay: exact staircase plus the stitched approximation, long format;
-    # exact ranks are ints and curve ranks floats, so they stay separate parts
-    columns = [
-        (_Coded(["exact"], np.broadcast_to(0, table.size)), branches),
-        (np.arange(1, table.size + 1), curve["guesswork_rank"]),
-        (_Coded(np.exp(table.levels), table.level_of[table.order]), curve["probability"]),
-    ]
-    _write_csv(_sibling(args.out, "_overlay"), ["series", "rank", "probability"], columns, meta)
+    curve = {f: _float_bytes(np.array([getattr(p, f) for p in points])) for f in fields}
+    branches = _coded_bytes([p.branch for p in points], np.arange(len(points)))
+    _write_csv(args.out, ["branch", *fields], meta, [branches, *curve.values()])
+    # overlay, long format: the exact staircase (int ranks), then the stitched curve
+    pmf = _coded_bytes(np.exp(table.levels), table.level_of[table.order])
+    exact = [_coded_bytes(["exact"], np.broadcast_to(0, table.size)),
+             _int_bytes(np.arange(1, table.size + 1)), pmf]
+    stitched = [branches, curve["guesswork_rank"], curve["probability"]]
+    _write_csv(_sibling(args.out, "_overlay"), ["series", "rank", "probability"], meta, exact,
+               stitched)
     return 0
 
 

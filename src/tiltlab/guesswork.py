@@ -570,14 +570,11 @@ def order_equivalent(
     for n in range(1, n_max + 1):
         t_mu = build_rank_table(mu, n, budget)
         t_rho = build_rank_table(rho, n, budget)
-        if np.array_equal(t_mu.rank_of, t_rho.rank_of):
-            continue
-        diff = np.flatnonzero(t_mu.rank_of != t_rho.rank_of)
-        first = diff[np.argmin(t_mu.rank_of[diff])]
-        r = int(t_mu.rank_of[first])
-        partner = int(t_rho.order[r - 1])
-        witness = (n, t_mu.string_at(int(first)), t_mu.string_at(partner))
-        break
+        differ = t_mu.order != t_rho.order
+        if differ.any():  # strings before the first differing rank share their ranks
+            r = int(differ.argmax())
+            witness = (n, t_mu.string_at(int(t_mu.order[r])), t_mu.string_at(int(t_rho.order[r])))
+            break
 
     return OrderEquivalence(
         equivalent=analytic and witness is None,

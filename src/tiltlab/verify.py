@@ -177,7 +177,7 @@ def _reverse_dual(base: gw.RankTable, reversed_rank_of: np.ndarray) -> bool:
     rank order, are sorted within tie classes by one `lexsort` each."""
     groups = base.tie_groups()
     got = reversed_rank_of[base.order]
-    want = base.size + 1 - base.rank_of[base.order]
+    want = base.size - np.arange(base.size)
     return np.array_equal(got[np.lexsort((got, groups))], want[np.lexsort((want, groups))])
 
 

@@ -63,6 +63,30 @@ class TestGuessworkCommand:
         code = run("guesswork", "--source", s2_path, "--n", "4", "--out", str(tmp_path / "y.csv"))
         assert code == 0
 
+    @pytest.mark.parametrize("budget", ["-5", "0"])
+    def test_non_positive_budget_is_a_config_error(self, tmp_path, s3_path, capsys, budget):
+        out = tmp_path / "x.csv"
+        assert run("guesswork", "--source", s3_path, "--n", "2", "--budget", budget,
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"tiltlab: config error: --budget must be at least 1, got {budget}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budget", ["-5", "0"])
+    def test_non_positive_env_budget_is_a_config_error(
+        self, tmp_path, s3_path, capsys, monkeypatch, budget
+    ):
+        monkeypatch.setenv("TILTLAB_BUDGET", budget)
+        for argv in (["guesswork", "--n", "2"], ["approx", "--n", "2"],
+                     ["typical", "--n", "2", "--alpha", "1", "--epsilon", "0.1"]):
+            out = tmp_path / f"{argv[0]}.csv"
+            assert run(*argv, "--source", s3_path, "--out", str(out)) == 2
+            assert capsys.readouterr().err == (
+                f"tiltlab: config error: TILTLAB_BUDGET must be at least 1, got {budget}\n"
+            )
+            assert not out.exists()
+
 
 class TestTiltCommand:
     def test_family_csv(self, tmp_path, s3_path):

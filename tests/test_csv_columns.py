@@ -2,7 +2,6 @@
 import contextlib
 import io
 import json
-from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -43,8 +42,8 @@ SPECIALS = np.array(
 
 
 @st.composite
-def float_columns(draw, size):
-    """float64 columns drawn from a small pool, so that values repeat."""
+def float_arrays(draw, size):
+    """float64 arrays drawn from a small pool, so that values repeat."""
     pool = draw(
         st.lists(
             st.one_of(
@@ -59,7 +58,7 @@ def float_columns(draw, size):
     return pool[draw(hnp.arrays(np.intp, size, elements=st.integers(0, pool.size - 1)))]
 
 
-def int_columns(size):
+def int_arrays(size):
     return hnp.arrays(np.int64, size, elements=st.integers(-(2**63), 2**63 - 1))
 
 
@@ -68,45 +67,38 @@ def str_lists(size):
     return st.lists(text, min_size=size, max_size=size)
 
 
-@st.composite
-def rank_columns(draw, size):
-    """The overlay's rank column: int exact ranks, then float curve ranks."""
-    exact = draw(st.integers(0, size))
-    ints = np.arange(1, exact + 1)
-    return (ints, draw(float_columns(size - exact)))
+# Column strategies: each draws the values, encodes them with the encoder a
+# subcommand would choose for them, and gives (encoded column, the cells the
+# row-wise writer receives).
+
+def float_columns(size):
+    return float_arrays(size).map(lambda v: (cli._float_bytes(v), list(v)))
+
+
+def int_columns(size):
+    return int_arrays(size).map(lambda v: (cli._int_bytes(v), list(v)))
+
+
+def text_columns(size):
+    return str_lists(size).map(lambda v: (cli._coded_bytes(v, np.arange(size)), v))
 
 
 @st.composite
 def coded_columns(draw, size):
-    """A short column of values, drawn as any plain column is, and a code per row."""
-    make = draw(st.sampled_from([float_columns, int_columns, str_lists]))
+    """A short sequence of values, drawn as any plain column is, and a code per row."""
+    make = draw(st.sampled_from([float_arrays, int_arrays, str_lists]))
     values = draw(make(draw(st.integers(1, 6))))
     codes = draw(hnp.arrays(np.intp, size, elements=st.integers(0, len(values) - 1)))
-    return cli._Coded(values, codes)
+    return cli._coded_bytes(values, codes), [values[code] for code in codes]
 
 
 @st.composite
-def stacked_columns(draw, size):
-    """A tuple of two parts of any kinds, so that blocks split it anywhere."""
-    first = draw(st.integers(0, size))
-    kinds = st.sampled_from([float_columns, int_columns, str_lists, coded_columns])
-    return (draw(draw(kinds)(first)), draw(draw(kinds)(size - first)))
-
-
-@st.composite
-def tables(draw, kinds=(float_columns, int_columns, str_lists, rank_columns)):
-    size = draw(st.integers(0, 40))
-    makers = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5))
-    return [draw(make(size)) for make in makers]
-
-
-def reference_cells(column):
-    """The values the row-wise writer received for a column."""
-    if isinstance(column, tuple):
-        return list(chain(*(reference_cells(part) for part in column)))
-    if isinstance(column, cli._Coded):
-        return [column.values[code] for code in column.codes]
-    return list(column)
+def tables(draw, kinds):
+    """Row groups of one width; each column of each group is of a drawn kind,
+    so that a field may hold ints in one group and floats in the next."""
+    width = draw(st.integers(1, 5))
+    sizes = draw(st.lists(st.integers(0, 40), min_size=1, max_size=3))
+    return [[draw(draw(st.sampled_from(kinds))(size)) for _ in range(width)] for size in sizes]
 
 
 def written(write, *args) -> str:
@@ -116,51 +108,54 @@ def written(write, *args) -> str:
     return out.getvalue()
 
 
-@settings(max_examples=300, deadline=None)
-@given(tables(), st.integers(1, 9))
-def test_columns_match_the_row_writer(columns, block):
-    header = [f"c{i}" for i in range(len(columns))]
-    rows = zip(*(reference_cells(c) for c in columns))
+def same_text_as_the_row_writer(groups, block) -> None:
+    header = [f"c{i}" for i in range(len(groups[0]))]
+    rows = [row for group in groups for row in zip(*(cells for _, cells in group))]
     expected = written(ref.write_csv, header, rows, META)
+    columns = [[column for column, _ in group] for group in groups]
     with mock.patch.object(cli, "_CSV_BLOCK", block):
-        got = written(cli._write_csv, header, columns, META)
-    assert got == expected
+        assert written(cli._write_csv, header, META, *columns) == expected
 
 
 @settings(max_examples=300, deadline=None)
-@given(tables(kinds=(coded_columns, stacked_columns, int_columns)), st.integers(1, 9))
-def test_coded_and_stacked_columns_match_the_row_writer(columns, block):
-    header = [f"c{i}" for i in range(len(columns))]
-    rows = zip(*(reference_cells(c) for c in columns))
-    expected = written(ref.write_csv, header, rows, META)
-    with mock.patch.object(cli, "_CSV_BLOCK", block):
-        got = written(cli._write_csv, header, columns, META)
-    assert got == expected
+@given(tables(kinds=(float_columns, int_columns, text_columns)), st.integers(1, 9))
+def test_columns_match_the_row_writer(groups, block):
+    same_text_as_the_row_writer(groups, block)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(kinds=(coded_columns, int_columns)), st.integers(1, 9))
+def test_coded_and_stacked_columns_match_the_row_writer(groups, block):
+    """Coded columns, stacked as row groups one after another."""
+    same_text_as_the_row_writer(groups, block)
 
 
 @pytest.mark.parametrize("block", range(1, 10))
 def test_blocks_split_a_tuple_between_its_parts(block):
-    """Parts of unequal widths: 5 ints (one negative), 2 floats and 2 texts."""
-    column = (np.array([1, -20, 300, 4000, 50000]), np.array([0.5, -1e-300]), ["x", "\u00e9"])
-    other = np.arange(9) * 7
-    rows = zip(reference_cells(column), other)
-    expected = written(ref.write_csv, ["a", "b"], rows, META)
-    with mock.patch.object(cli, "_CSV_BLOCK", block):
-        assert written(cli._write_csv, ["a", "b"], [column, other], META) == expected
+    """A tuple of three row groups whose first fields differ in width: 5 ints
+    (one negative), 2 floats and 2 texts; the second field counts in sevens.
+    Blocks of 1 to 9 rows split the parts inside and between them."""
+    ints, floats, texts = [1, -20, 300, 4000, 50000], [0.5, -1e-300], ["x", "\u00e9"]
+    firsts = [(cli._int_bytes(np.array(ints)), ints), (cli._float_bytes(np.array(floats)), floats),
+              (cli._coded_bytes(texts, np.arange(2)), texts)]
+    sevens = [7 * np.arange(a, b) for a, b in ((0, 5), (5, 7), (7, 9))]
+    parts = tuple([first, (cli._int_bytes(s), list(s))] for first, s in zip(firsts, sevens))
+    same_text_as_the_row_writer(parts, block)
 
 
 def test_int_texts_are_str_at_the_int64_extremes():
     edges = [-(2**63), -(2**63) + 1, -10001, -10000, -9999, -1, 0, 1, 9999, 10000, 2**63 - 1]
-    column = np.array(edges, dtype=np.int64)
-    assert written(cli._write_csv, ["n"], [column], META).splitlines()[2:] == list(map(str, edges))
+    column = cli._int_bytes(np.array(edges, dtype=np.int64))
+    assert written(cli._write_csv, ["n"], META, [column]).splitlines()[2:] == list(map(str, edges))
 
 
 def test_texts_keep_surrogates_nul_and_multibyte_characters():
     texts = ["\ud800", "a\x00b", "\x00", "\u65e5\u672c", "\U0001f600", "", "\udcff\ud83d"]
-    column = cli._Coded(texts, np.array([6, 5, 4, 3, 2, 1, 0, 0]))
-    rows = zip(reference_cells(column), texts + ["z"])
-    expected = written(ref.write_csv, ["c", "t"], rows, META)
-    assert written(cli._write_csv, ["c", "t"], [column, texts + ["z"]], META) == expected
+    codes = np.array([6, 5, 4, 3, 2, 1, 0, 0])
+    others = texts + ["z"]
+    group = [(cli._coded_bytes(texts, codes), [texts[c] for c in codes]),
+             (cli._coded_bytes(others, np.arange(len(others))), others)]
+    same_text_as_the_row_writer([group], cli._CSV_BLOCK)
 
 
 def test_rank_table_codes_give_the_pmf_and_log_prob_bits():
@@ -177,22 +172,24 @@ def test_rank_table_codes_give_the_pmf_and_log_prob_bits():
 
 def test_float_texts_keep_every_bit_pattern():
     column = np.concatenate([SPECIALS, SPECIALS[::-1]])
-    got = written(cli._write_csv, ["x"], [column], META).splitlines()[2:]
+    got = written(cli._write_csv, ["x"], META, [cli._float_bytes(column)]).splitlines()[2:]
     assert got == [repr(float(x)) for x in column]
     assert got[:10] == ["0.0", "-0.0", "inf", "-inf", "nan", "nan", "nan", "nan", "5e-324", "-5e-324"]
 
 
 def test_mixed_rank_column_keeps_int_and_float_text():
-    column = (np.arange(1, 4), np.array([3.0, 17.0]))
-    assert written(cli._write_csv, ["rank"], [column], META).splitlines()[2:] == [
-        "1", "2", "3", "3.0", "17.0"
-    ]
+    """Int exact ranks, then float curve ranks, in blocks of two rows: one
+    block boundary falls inside the first group and one between the groups."""
+    exact, curve = [cli._int_bytes(np.arange(1, 4))], [cli._float_bytes(np.array([3.0, 17.0]))]
+    with mock.patch.object(cli, "_CSV_BLOCK", 2):
+        got = written(cli._write_csv, ["rank"], META, exact, curve)
+    assert got.splitlines()[2:] == ["1", "2", "3", "3.0", "17.0"]
 
 
 def test_file_and_stdout_agree(tmp_path):
-    columns = [np.array([0.5, -0.0]), ["a", "b"]]
-    cli._write_csv(tmp_path / "x.csv", ["p", "s"], columns, META)
-    assert (tmp_path / "x.csv").read_text() == written(cli._write_csv, ["p", "s"], columns, META)
+    columns = [cli._float_bytes(np.array([0.5, -0.0])), cli._coded_bytes(["a", "b"], np.arange(2))]
+    cli._write_csv(tmp_path / "x.csv", ["p", "s"], META, columns)
+    assert (tmp_path / "x.csv").read_text() == written(cli._write_csv, ["p", "s"], META, columns)
 
 
 def spec(name):

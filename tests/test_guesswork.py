@@ -305,6 +305,29 @@ class TestOrderEquivalence:
         assert (ta.guesswork(x) < ta.guesswork(y)) != (tb.guesswork(x) < tb.guesswork(y))
 
 
+def rank_of_witness(mu, rho, n_max):
+    """The witness rule on `rank_of`: among the strings whose ranks differ,
+    the one mu ranks first, and the string rho puts at that rank."""
+    for n in range(1, n_max + 1):
+        t_mu, t_rho = tl.build_rank_table(mu, n), tl.build_rank_table(rho, n)
+        if np.array_equal(t_mu.rank_of, t_rho.rank_of):
+            continue
+        diff = np.flatnonzero(t_mu.rank_of != t_rho.rank_of)
+        first = diff[np.argmin(t_mu.rank_of[diff])]
+        partner = int(t_rho.order[int(t_mu.rank_of[first]) - 1])
+        return n, t_mu.string_at(int(first)), t_mu.string_at(partner)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(2, 4), st.booleans())
+def test_order_witness_matches_the_rank_of_rule(data, k, reverse):
+    mu = data.draw(categorical_sources(min_size=k, max_size=k))
+    rho = tl.reverse(mu) if reverse else data.draw(categorical_sources(min_size=k, max_size=k))
+    n_max = 6 - k
+    assert tl.order_equivalent(mu, rho, n_max=n_max).witness == rank_of_witness(mu, rho, n_max)
+
+
 @settings(max_examples=25, deadline=None)
 @given(categorical_sources(max_size=3), st.floats(0.2, 3.0), st.integers(1, 4))
 def test_positive_tilts_never_change_ranks(source, alpha, n):
