@@ -27,6 +27,7 @@ from .sources import (
     DEFAULT_BUDGET,
     CategoricalSource,
     SequenceSource,
+    _require_grid_budget,
     _require_length,
     enumerate_word_log_probs,
     validate,
@@ -147,10 +148,12 @@ def _sweep_grid(
     source: SequenceSource, n: int, alpha_grid: Optional[Sequence[float]] = None
 ) -> tuple[np.ndarray, float]:
     """The checked tilt-order grid of a sweep (the default when None) and the
-    string count |alphabet|^n; an i.i.d. source is validated too."""
+    string count |alphabet|^n; an i.i.d. source is validated too.  The grid
+    is held to the rate grid budget before any per-order array is built."""
     grid = np.asarray(
         default_alpha_grid() if alpha_grid is None else alpha_grid, dtype=np.float64
     )
+    _require_grid_budget(source, grid.size, "tilt orders")
     if not np.all(np.isfinite(grid) & (grid != 0)):
         raise InvalidInput("alpha grid must be finite and exclude 0")
     if not (np.any(grid > 0) and np.any(grid < 0)):

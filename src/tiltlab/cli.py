@@ -232,7 +232,7 @@ def _parse_grid(spec: str, source, what: str) -> np.ndarray:
         if spec.startswith(("lin:", "log:")):
             kind, lo, hi, count = spec.split(":")
             lo, hi, count = float(lo), float(hi), int(count)
-            rt._require_grid_budget(source, count, what)
+            src._require_grid_budget(source, count, what)
             return (np.linspace if kind == "lin" else np.geomspace)(lo, hi, count)
         return np.array([float(v) for v in spec.split(",")])
     except ValueError as exc:

@@ -64,7 +64,7 @@ def _rank_order(levels: np.ndarray, level_of: np.ndarray, tie_tol: float) -> np.
 #: rows decoded at a time by `RankTable.records`
 _RECORDS_CHUNK = 1 << 16
 
-#: ranks scattered into `rank_of` at a time by `build_rank_table`
+#: ranks scattered into `RankTable.rank_of` at a time on its first read
 _RANK_BLOCK = 1 << 16
 
 
@@ -106,23 +106,34 @@ class RankTable:
     (lexicographic tie-break); R = |alphabet|^n + 1 - G, so the least likely
     string has R = 1 and log R stays finite.
 
-    The table also keeps its log-prob levels: `level_of` maps each
-    lexicographic string index to its level in `levels`, so `log_probs` is
-    `levels[level_of]` bit for bit.  An i.i.d. table's levels are its type
-    classes' log-probs (two classes may share a value); a Markov or hidden
-    Markov table's are the distinct bit patterns of its strings' log-probs.
+    The table stores its rank order once, as `order`, and its log-prob
+    levels: `level_of` maps each lexicographic string index to its level in
+    `levels`.  The per-string views are built on first read: `rank_of`
+    inverts `order`, and `log_probs` is `levels[level_of]` bit for bit.  An
+    i.i.d. table's levels are its type classes' log-probs (two classes may
+    share a value); a Markov or hidden Markov table's are the distinct bit
+    patterns of its strings' log-probs.
     """
 
     source: SequenceSource
     n: int
     order: np.ndarray  # rank - 1  -> lexicographic string index
-    rank_of: np.ndarray  # lexicographic string index -> G
     levels: np.ndarray  # log-prob per level (per type class for an i.i.d. table)
     level_of: np.ndarray  # lexicographic string index -> level
 
     @property
     def size(self) -> int:
         return self.level_of.size
+
+    @cached_property
+    def rank_of(self) -> np.ndarray:
+        """G by lexicographic string index, the inverse of `order`: scattered
+        `_RANK_BLOCK` ranks at a time on first read, read-only."""
+        rank_of = np.empty(self.size, dtype=np.int64)
+        for start in range(0, self.size, _RANK_BLOCK):
+            block = self.order[start : start + _RANK_BLOCK]
+            rank_of[block] = np.arange(start + 1, start + block.size + 1)
+        return _read_only(rank_of)[0]
 
     @cached_property
     def log_probs(self) -> np.ndarray:
@@ -159,24 +170,30 @@ class RankTable:
 
     def pmf(self) -> np.ndarray:
         """Probability at each rank; pmf()[r - 1] is the rank-r probability."""
-        run_levels, run_lengths = self._level_runs()
+        run_levels, run_lengths, _ = self._level_runs
         return np.repeat(np.exp(self.levels[run_levels]), run_lengths)
 
-    def _level_runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The level and the length of each run of equal levels in rank order;
-        a level's strings lie in several runs where near-tied levels interleave.
-        Not kept: a table can hold as many runs as strings."""
+    @cached_property
+    def _level_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The level, the length and the tie-group id of each run of equal
+        levels in rank order, walked once on first use, read-only, in the
+        smallest types (a table can hold as many runs as strings); a level's
+        strings lie in several runs where near-tied levels interleave."""
         ranked = self.level_of[self.order]
         starts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
-        return ranked[np.r_[0, starts]], np.diff(starts, prepend=0, append=ranked.size)
+        run_levels = ranked[np.r_[0, starts]]
+        lengths = np.diff(starts, prepend=0, append=self.size)
+        lengths = lengths.astype(np.min_scalar_type(lengths.max()))
+        groups = _tie_group_ids(self.levels[run_levels], TIE_TOL_PER_SYMBOL * self.n)
+        return _read_only(run_levels, lengths, groups)
 
     @cached_property
     def _level_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """First rank G, last rank G and size of every level: the start of its
         first run, the end of its last run and the sum of its run lengths.
-        Walked once per table, on first use, for every ledger query."""
-        run_levels, run_lengths = self._level_runs()
-        ends = np.cumsum(run_lengths)
+        Built once per table, on first use, for every ledger query."""
+        run_levels, run_lengths, _ = self._level_runs
+        ends = np.cumsum(run_lengths, dtype=np.int64)
         first = np.full(self.levels.size, self.size, dtype=np.int64)
         last, sizes = np.zeros_like(first), np.zeros_like(first)
         np.minimum.at(first, run_levels, ends - run_lengths + 1)
@@ -202,14 +219,14 @@ class RankTable:
 
         Groups chain the rank-ordered log-probs, so near-equal levels whose
         strings interleave in lexicographic order can split a block that the
-        build ordered as one (ROADMAP item 9 has the fix, which moves a
-        benchmark digest).  The walk is over the runs of equal levels in rank
-        order: a group can start only where the level changes, and there the
-        gap between the two levels decides it, as it does string by string.
+        build ordered as one (ROADMAP item 9 has the fix, one change to the
+        run walk's group ids that moves a benchmark digest).  The walk is over
+        the runs of equal levels in rank order: a group can start only where
+        the level changes, and there the gap between the two levels decides
+        it, as it does string by string.
         """
-        run_levels, run_lengths = self._level_runs()
-        tie_tol = TIE_TOL_PER_SYMBOL * self.n
-        return np.repeat(_tie_group_ids(self.levels[run_levels], tie_tol), run_lengths)
+        _, run_lengths, run_groups = self._level_runs
+        return np.repeat(run_groups, run_lengths)
 
 
 def build_rank_table(
@@ -221,17 +238,13 @@ def build_rank_table(
     C(n+k-1, k-1) type classes of an i.i.d. source, the distinct log-prob
     bit patterns of a Markov or hidden Markov one.  Every string's tie-group
     key is a gather from its level, and one stable sort on that integer key
-    gives the rank order.
+    gives the rank order.  The table stores that order alone; `rank_of`, its
+    inverse, is built on first read.
     """
     levels, level_of = _word_levels(source, n, budget)
     order = _rank_order(levels, level_of, TIE_TOL_PER_SYMBOL * n)
-    rank_of = np.empty(level_of.size, dtype=np.int64)
-    for start in range(0, order.size, _RANK_BLOCK):
-        block = order[start : start + _RANK_BLOCK]
-        rank_of[block] = np.arange(start + 1, start + block.size + 1)
-    _read_only(order, rank_of, levels, level_of)
-    return RankTable(source=source, n=n, order=order, rank_of=rank_of,
-                     levels=levels, level_of=level_of)
+    _read_only(order, levels, level_of)
+    return RankTable(source=source, n=n, order=order, levels=levels, level_of=level_of)
 
 
 def guesswork_pmf(table: RankTable) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, BudgetExceeded, DegenerateVariance, InvalidInput, OutOfRange
+from .errors import BracketFailure, DegenerateVariance, InvalidInput, OutOfRange
 from .measures import (
     _cross_entropy,
     _cross_varentropy,
@@ -31,7 +31,7 @@ from .measures import (
     _tilted_arrays,
     _tilted_rows,
 )
-from .sources import DEFAULT_BUDGET, CategoricalSource, SequenceSource, validate
+from .sources import CategoricalSource, _require_grid_budget, validate
 
 KINDS = ("forward_g", "reverse_r", "information_i")
 
@@ -261,17 +261,6 @@ class RateCurve:
     rate: np.ndarray
     d_rate: np.ndarray
     d2_rate: np.ndarray
-
-
-def _require_grid_budget(source: SequenceSource, size: int, what: str = "levels of t") -> None:
-    """At most DEFAULT_BUDGET (grid point, symbol) entries in a grid of `size`
-    `what`: every bisection step or tilt sweep holds a few arrays of that many
-    floats."""
-    k = len(source.alphabet)
-    if size * k > DEFAULT_BUDGET:
-        raise BudgetExceeded(
-            f"{size} {what} over {k} symbols exceed the rate grid budget {DEFAULT_BUDGET}"
-        )
 
 
 def rate_points(source: CategoricalSource, kind: str, ts) -> RateCurve:

@@ -206,7 +206,9 @@ def reverse(source: CategoricalSource) -> CategoricalSource:
 def tilted_family_sample(
     source: CategoricalSource, alphas: Sequence[float]
 ) -> list[CategoricalSource]:
-    """One tilt per requested order, preserving the order of `alphas`."""
+    """One tilt per requested order, preserving the order of `alphas`; at most
+    the rate grid budget of orders times symbols (BudgetExceeded)."""
+    _require_grid_budget(source, len(alphas), "tilt orders")
     return [tilt(source, float(a)) for a in alphas]
 
 
@@ -412,6 +414,17 @@ def require_budget(alphabet_size: int, n: int, budget: int) -> None:
     if n >= budget.bit_length() or alphabet_size**n > budget:  # k >= 2: 2^n <= k^n
         raise BudgetExceeded(
             f"{alphabet_size}^{n} strings exceed the enumeration budget {budget}"
+        )
+
+
+def _require_grid_budget(source: SequenceSource, size: int, what: str = "levels of t") -> None:
+    """At most DEFAULT_BUDGET (grid point, symbol) entries in a grid of `size`
+    `what`: every bisection step or tilt sweep holds a few arrays of that many
+    floats."""
+    k = len(source.alphabet)
+    if size * k > DEFAULT_BUDGET:
+        raise BudgetExceeded(
+            f"{size} {what} over {k} symbols exceed the rate grid budget {DEFAULT_BUDGET}"
         )
 
 

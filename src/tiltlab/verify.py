@@ -252,14 +252,10 @@ def check_typical_set_bounds(quick: bool = False) -> CheckResult:
 def _check_curve(s, kind: str, failures: list[str], label: str) -> None:
     curve = rt.rate_curve(s, kind, n_samples=33)
     second = curve.rate[:-2] - 2.0 * curve.rate[1:-1] + curve.rate[2:]
-    if kind == "reverse_r":
-        violation = float(np.max(second)) if second.size else 0.0
-        if violation > CONVEXITY_TOL:
-            failures.append(f"{label}/{kind}: concavity violated by {violation:.3e}")
-    else:
-        violation = float(-np.min(second)) if second.size else 0.0
-        if violation > CONVEXITY_TOL:
-            failures.append(f"{label}/{kind}: convexity violated by {violation:.3e}")
+    shape, sign = ("concavity", 1.0) if kind == "reverse_r" else ("convexity", -1.0)
+    violation = float(np.max(sign * second))
+    if violation > CONVEXITY_TOL:
+        failures.append(f"{label}/{kind}: {shape} violated by {violation:.3e}")
     delta = 1e-4
     inner = curve.t[1:-1]
     shifted = rt.rate_points(s, kind, np.concatenate([inner - delta, inner + delta]))
@@ -316,19 +312,25 @@ def _stitched_log_rank_error(source, n: int, budget: int = src.DEFAULT_BUDGET) -
     to its probability tie class (the step of the staircase), so the error
     for rank k is the distance from the interpolated curve rank to the
     [first, last] rank interval of k's tie class; with no tie this is exactly
-    |log k_approx - log k|.
+    |log k_approx - log k|.  The error is the same at every rank of a run of
+    equal levels, so it is taken once per run that meets 8..k^n-8, from the
+    run's level and its tie block's first and last rank.
     """
     table = gw.build_rank_table(source, n, budget)
-    points = ax.approx_pmf_curve(source, n, budget=budget, log_probs=table.log_probs)
-    sorted_logp = table.log_probs[table.order]
-    groups = table.tie_groups()
-    ranks = np.arange(8, table.size - 8 + 1)
-    interp = ax.interpolated_log_rank(points, sorted_logp[ranks - 1])
-    # tie groups are contiguous runs of ranks: a group's first and last rank
-    # bound its run in the non-decreasing `groups`
-    gid = groups[ranks - 1]
-    below = np.log(np.searchsorted(groups, gid, side="left") + 1) - interp
-    above = interp - np.log(np.searchsorted(groups, gid, side="right"))
+    chain = not isinstance(source, src.CategoricalSource)  # the i.i.d. sweep tilts theta
+    points = ax.approx_pmf_curve(
+        source, n, budget=budget, log_probs=table.log_probs if chain else None
+    )
+    run_levels, lengths, groups = table._level_runs
+    ends = np.cumsum(lengths, dtype=np.int64)
+    starts = ends - lengths  # rank - 1 of each run's first string
+    heads = np.flatnonzero(np.diff(groups, prepend=0))  # first run of each tie block
+    tails = np.append(heads[1:], groups.size) - 1  # last run of each tie block
+    meets = (ends >= 8) & (starts < table.size - 8)
+    block = groups[meets] - 1
+    interp = ax.interpolated_log_rank(points, table.levels[run_levels[meets]])
+    below = np.log(starts[heads][block] + 1) - interp
+    above = interp - np.log(ends[tails][block])
     return float(np.max(np.maximum(0.0, np.maximum(below, above))))
 
 

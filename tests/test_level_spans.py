@@ -1,7 +1,8 @@
 """The per-level first rank, last rank and size the typical-set ledger reads.
 
 `RankTable._level_spans` takes them from the runs of equal levels in rank
-order, once per table.  Per string, a level's first and last rank are the least and the
+order, once per table; the run walk (`_level_runs`) is cached too, read-only
+and in the smallest types, and `pmf()` and `tie_groups()` read it.  Per string, a level's first and last rank are the least and the
 greatest rank of the strings at that level, and its size is their count;
 the drawn geometric sources give near-tied levels whose strings interleave,
 and -inf levels.
@@ -47,3 +48,19 @@ def test_spans_are_walked_once_per_table(s3):
         tl.typical_set(s3, tl.TypicalSetSpec(alpha, 0.1, 6), table=table)
     assert table._level_spans is spans
     assert not any(arr.flags.writeable for arr in spans)
+
+
+@pytest.mark.parametrize("name, n", [("s2", 10), ("s3", 7), ("s77_sample", 2), ("s3_hmm", 8)])
+def test_runs_are_walked_once_read_only_in_the_smallest_types(name, n):
+    table = tl.build_rank_table(tl.load_source(tl.builtin_spec_path(name)), n)
+    runs = table._level_runs
+    table.pmf(), table.tie_groups(), table._level_spans
+    assert table._level_runs is runs
+    run_levels, lengths, groups = runs
+    assert not any(arr.flags.writeable for arr in runs)
+    assert run_levels.dtype == table.level_of.dtype
+    assert lengths.dtype == np.min_scalar_type(int(lengths.max()))
+    assert groups.dtype == np.min_scalar_type(int(groups[-1]))
+    assert lengths.dtype.kind == groups.dtype.kind == "u"
+    np.testing.assert_array_equal(np.repeat(run_levels, lengths), table.level_of[table.order])
+    assert np.all(run_levels[1:] != run_levels[:-1])

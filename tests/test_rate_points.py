@@ -289,6 +289,19 @@ def test_grid_just_over_the_budget_is_refused_before_solving():
         rt.rate_curve(source, "reverse_r", n_samples=over)
 
 
+@pytest.mark.parametrize("name", ["s3", "s3_markov"])
+def test_tilt_sweeps_just_over_the_grid_budget_are_refused_before_tilting(name):
+    source = shipped(name)
+    over = DEFAULT_BUDGET // len(source.alphabet) + 1  # (order x symbols) entries
+    refused = "tilt orders over 3 symbols exceed the rate grid budget"
+    # read-only views of one order: nothing grid-sized is allocated here
+    with pytest.raises(BudgetExceeded, match=refused):
+        tl.approx_pmf_curve(source, 4, alpha_grid=np.broadcast_to(2.0, over))
+    if name == "s3":  # an order that tilt rejects: no tilt is built before the rule
+        with pytest.raises(BudgetExceeded, match=refused):
+            tl.tilted_family_sample(source, np.broadcast_to(np.nan, over))
+
+
 def test_cli_grid_over_the_budget_exits_1(capsys, tmp_path):
     path = str(tl.builtin_spec_path("s77_sample"))
     out = tmp_path / "rate.csv"

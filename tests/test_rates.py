@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import tiltlab as tl
+from tiltlab import rates as rt
+from tiltlab import verify
 from tiltlab.errors import OutOfRange, TieViolation
 from tiltlab.rates import KINDS
 
@@ -177,3 +180,23 @@ class TestRateCurve:
     def test_bad_kind(self, s2):
         with pytest.raises(ValueError):
             tl.rate_curve(s2, "sideways", 5)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_verify_names_the_violated_shape(self, s2, monkeypatch, kind):
+        sampled = rt.rate_curve
+        concave = kind == "reverse_r"
+
+        def kinked(source, kind, n_samples):  # one sample moved against the shape
+            curve = sampled(source, kind, n_samples=n_samples)
+            rate = curve.rate.copy()
+            rate[16] += -1.0 if concave else 1.0
+            return dataclasses.replace(curve, rate=rate)
+
+        monkeypatch.setattr(rt, "rate_curve", kinked)
+        failures = []
+        verify._check_curve(s2, kind, failures, "s2")
+        rate = kinked(s2, kind, 33).rate
+        second = rate[:-2] - 2.0 * rate[1:-1] + rate[2:]
+        shape, violation = ("concavity", second.max()) if concave else ("convexity", -second.min())
+        assert f"s2/{kind}: {shape} violated by {violation:.3e}" in failures
+

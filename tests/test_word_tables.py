@@ -2,7 +2,8 @@
 
 `_word_levels` hands `build_rank_table` the levels and each string's level,
 whose gather has the bits of `enumerate_word_log_probs`; a rank table stores
-no per-string log-probs and gathers them only when they are read; the
+neither per-string log-probs nor `rank_of` and builds each only when it is
+read; the
 hidden-Markov recursion builds no normalized state at its last level; the
 budget and float-range rules reject a huge n without building k^n; a tilt
 order too large for the tilted levels and a negative verification seed are
@@ -20,13 +21,14 @@ from tiltlab.errors import BudgetExceeded, InvalidInput, OutOfRange
 from tiltlab.sources import DEFAULT_BUDGET, _word_levels, require_budget
 
 from conftest import random_hmm, random_markov
+from reference_rank_table import reference_rank_table
 
 #: (shipped source, largest n) whose every table is compared
 SHIPPED = (("s2", 8), ("s3", 8), ("s3_markov", 8), ("s3_hmm", 8), ("s77_sample", 2))
 
-#: bytes per string a built `s2` table at n = 20 may hold: `order` and
-#: `rank_of` take 8 each and `level_of` 1; stored log-probs would add 8
-HELD_BYTES_PER_STRING = 20
+#: bytes per string a built `s2` table at n = 20 may hold: `order` takes 8
+#: and `level_of` 1; a stored `rank_of` or stored log-probs would add 8 each
+HELD_BYTES_PER_STRING = 10
 
 #: tracemalloc peak per word allowed to the s3_hmm enumeration; with the last
 #: level's normalized state copy it is about 65 B, without it about 48 B
@@ -74,6 +76,34 @@ def test_log_probs_are_gathered_from_the_levels_on_first_read(make, arg, n):
     assert not log_probs.flags.writeable
     assert table.log_probs is log_probs
     np.testing.assert_array_equal(bits(log_probs), bits(tl.enumerate_word_log_probs(source, n)))
+
+
+@pytest.mark.parametrize(
+    "make, arg, n", VIEWED, ids=[f"{make.__name__}-{arg}" for make, arg, _ in VIEWED]
+)
+def test_rank_of_is_inverted_from_the_order_on_first_read(make, arg, n):
+    source = make(arg)
+    table = tl.build_rank_table(source, n)
+    table.pmf(), table.tie_groups(), table._level_spans  # readers of the order alone
+    assert "rank_of" not in vars(table)
+    rank_of = table.rank_of
+    assert rank_of.dtype == np.int64 and not rank_of.flags.writeable
+    assert table.rank_of is rank_of
+    np.testing.assert_array_equal(rank_of, reference_rank_table(source, n)[2])
+
+
+def test_order_equivalence_reads_no_rank_of(s3, monkeypatch):
+    built, build = [], tl.guesswork.build_rank_table
+
+    def recording_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(tl.guesswork, "build_rank_table", recording_build)
+    other = tl.CategoricalSource(s3.alphabet, np.array([0.25, 0.3, 0.45]))
+    assert tl.order_equivalent(s3, other).witness is not None
+    assert tl.order_equivalent(s3, tl.tilt(s3, 2.0)).witness is None
+    assert len(built) > 2 and not any("rank_of" in vars(table) for table in built)
 
 
 def test_a_built_table_holds_no_per_string_log_probs(s2):
