@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateVariance, InvalidInput, NegativeVariance, OutOfRange
-from .guesswork import TypicalSetSpec
+from .guesswork import RankTable, TypicalSetSpec, _require_table_for
 from .measures import _cross_entropy, _cross_varentropy, _tilted_arrays, _tilted_rows
 from .numeric import _exp_or_inf
 from .sources import (
@@ -166,12 +166,12 @@ def _sweep_grid(
 
 
 def _tilted_stats(
-    source: SequenceSource, n: int, grid: np.ndarray, budget: int, log_probs=None
+    source: SequenceSource, n: int, grid: np.ndarray, budget: int, table=None
 ):
     """(cross-entropy level, entropy, varentropy) of the length-n words of
     each alpha-tilt: n-scaled row sums on the tilts' arrays for an i.i.d.
-    source, else a sweep of the word log-probs (enumerated unless `log_probs`
-    holds them)."""
+    source, else a sweep of the word log-probs, read from `table` when one
+    is given and enumerated otherwise."""
     if isinstance(source, CategoricalSource):
         stats = np.empty((grid.size, 3))
         for rows, p, lp, lq in _tilted_rows(source, grid):
@@ -180,9 +180,8 @@ def _tilted_stats(
             stats[rows, 2] = _cross_varentropy(p, lp, n)
         yield from map(tuple, stats.tolist())
     else:
-        if log_probs is None:
-            log_probs = enumerate_word_log_probs(source, n, budget)
-        yield from _tilted_word_stats(log_probs, grid)
+        logp = enumerate_word_log_probs(source, n, budget) if table is None else table.log_probs
+        yield from _tilted_word_stats(logp, grid)
 
 
 def _tilted_word_stats(logp: np.ndarray, grid: np.ndarray):
@@ -229,17 +228,18 @@ def approx_pmf_curve(
     n: int,
     alpha_grid: Optional[Sequence[float]] = None,
     budget: int = DEFAULT_BUDGET,
-    log_probs: Optional[np.ndarray] = None,
+    table: Optional[RankTable] = None,
 ) -> list[ApproxPoint]:
     """Sweep tilt orders over both signs and stitch the two rank branches.
 
     Returns points sorted by guesswork rank.  Ranks are clamped into
     [1, |alphabet|^n]; i.i.d. sources need no enumeration, the others tilt
-    the enumerated word distribution directly.  A caller that has enumerated
-    the words already (`RankTable.log_probs`) passes them as `log_probs`.
+    the enumerated word distribution directly, or read it from `table`, a
+    rank table that fits the query (`_require_table_for`), when one is given.
     """
     grid, total = _sweep_grid(source, n, alpha_grid)
-    stats = _tilted_stats(source, n, grid, budget, log_probs)
+    _require_table_for(source, n, table)
+    stats = _tilted_stats(source, n, grid, budget, table)
     points = []
     for alpha, (level, h, v) in zip(grid.tolist(), stats):
         raw = approx_rank(h, v)

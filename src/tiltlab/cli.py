@@ -338,11 +338,7 @@ def _cmd_approx(args) -> int:
     grid = _parse_grid(args.alpha_grid, source, "tilt orders") if args.alpha_grid else None
     grid = ax._sweep_grid(source, args.n, grid)[0]  # input errors before enumerating
     table = gw.build_rank_table(source, args.n, budget)
-    # only the chain sweep reads the word log-probs; the i.i.d. one tilts theta
-    chain = not isinstance(source, src.CategoricalSource)
-    points = ax.approx_pmf_curve(
-        source, args.n, alpha_grid=grid, budget=budget, log_probs=table.log_probs if chain else None
-    )
+    points = ax.approx_pmf_curve(source, args.n, alpha_grid=grid, budget=budget, table=table)
     meta = _source_meta(args)
     fields = ("alpha", "level_nats", "approx_rank", "guesswork_rank", "probability")
     curve = {f: _float_bytes(np.array([getattr(p, f) for p in points])) for f in fields}

@@ -247,6 +247,23 @@ def build_rank_table(
     return RankTable(source=source, n=n, order=order, levels=levels, level_of=level_of)
 
 
+def _require_table_for(source: SequenceSource, n: int, table: Optional[RankTable]) -> None:
+    """The one rule for a rank table given to a query (None: none given): it
+    holds the length-n strings of `source` by value, a source of the same
+    kind on the same alphabet with the same probability-array bytes (a
+    reloaded spec is a new object).  InvalidInput otherwise."""
+    if table is None:
+        return
+    if table.n != n:
+        raise InvalidInput(f"the rank table holds length-{table.n} strings, the query asks n={n}")
+    built = table.source
+    arrays = [[v.tobytes() for v in vars(s).values() if isinstance(v, np.ndarray)]
+              for s in (built, source)]
+    if not (type(built) is type(source) and built.alphabet == source.alphabet
+            and arrays[0] == arrays[1]):
+        raise InvalidInput("the rank table was built for another source")
+
+
 def guesswork_pmf(table: RankTable) -> np.ndarray:
     """Exact PMF of guesswork: entry r-1 is the probability of the rank-r string."""
     return table.pmf()
@@ -263,7 +280,11 @@ def _set_prob(logp: np.ndarray, members: np.ndarray) -> float:
 
 def corridor_mass(table: RankTable, ts, epsilon: float) -> list[float]:
     """P{|log G / n - t| < epsilon} for each t: the exact probability of the
-    strings whose normalized log-guesswork lies strictly inside the corridor."""
+    strings whose normalized log-guesswork lies strictly inside the corridor.
+    epsilon must be positive and every t finite (InvalidInput)."""
+    _require_width(epsilon)
+    if not np.isfinite(np.asarray(ts, dtype=np.float64)).all():
+        raise InvalidInput("every corridor centre t must be finite")
     norm_log_rank = np.log(table.rank_of.astype(np.float64)) / table.n
     return [_set_prob(table.log_probs, np.abs(norm_log_rank - t) < epsilon) for t in ts]
 
@@ -284,9 +305,14 @@ class TypicalSetSpec:
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha != 0):
             raise InvalidInput("alpha must be non-zero and finite")
-        if not 0 < self.epsilon < math.inf:
-            raise InvalidInput("epsilon must be positive and finite")
+        _require_width(self.epsilon)
         _require_length(self.n)
+
+
+def _require_width(epsilon: float) -> None:
+    """The one rule for a window half-width epsilon: 0 < epsilon < inf."""
+    if not 0 < epsilon < math.inf:
+        raise InvalidInput("epsilon must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -416,17 +442,13 @@ def typical_set(
 ) -> SetReport:
     """Build the typical set of the requested order and evaluate its bounds;
     an upper threshold beyond the float range is inf, so its bounds pass.
-    A given `table` must be built for n and for `source` by value.  B and the
+    A given `table` must fit the query (`_require_table_for`).  B and the
     rank bounds read each class's ranks and size from its level runs."""
     validate(source)
     n, alpha, eps = spec.n, spec.alpha, spec.epsilon
+    _require_table_for(source, n, table)
     if table is None:
         table = build_rank_table(source, n, budget)
-    elif table.n != n:
-        raise InvalidInput(f"the rank table holds length-{table.n} strings, the query asks n={n}")
-    elif not (isinstance(table.source, CategoricalSource) and table.source.alphabet == source.alphabet
-              and table.source.theta.tobytes() == source.theta.tobytes()):
-        raise InvalidInput("the rank table was built for another source")
     # Every set is a union of type classes, decided on the class levels; a
     # class's tilted level has the bits of each member string's tilted log-prob.
     levels, level_of, logp = table.levels, table.level_of, table.log_probs

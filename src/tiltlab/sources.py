@@ -55,6 +55,7 @@ class Alphabet:
         if len(set(symbols)) != len(symbols):
             raise SourceSpecError("alphabet symbols must be distinct")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
+        object.__setattr__(self, "_one_char", all(len(s) == 1 for s in symbols))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -69,11 +70,39 @@ class Alphabet:
             raise UnknownSymbol(f"symbol {symbol!r} not in alphabet") from None
 
     def encode(self, x: Union[str, Sequence[str]]) -> np.ndarray:
-        """Map a string (or sequence of tokens) to an array of symbol indices."""
-        tokens = list(x)
+        """Map a string (or sequence of symbols) to an array of symbol indices.
+
+        A `str` is split into the alphabet's symbols: per character when
+        every symbol is one character, else by its one split into symbols
+        (UnknownSymbol when it has none or several).  An empty string is
+        InvalidInput.
+        """
+        tokens = list(x) if self._one_char or not isinstance(x, str) else self._split(x)
         if not tokens:
-            raise ValueError("empty string")
+            raise InvalidInput("empty string")
         return np.array([self.index(t) for t in tokens], dtype=np.int64)
+
+    def _split(self, x: str) -> list[str]:
+        """The symbols of `x` by its one split into alphabet symbols, found
+        right to left: splits[i] counts the splits of x[i:] up to 2, and
+        head[i] is the first symbol of one of them."""
+        splits, head = [0] * len(x) + [1], [""] * len(x)
+        for i in reversed(range(len(x))):
+            for s in self.symbols:
+                if x.startswith(s, i) and splits[i + len(s)]:
+                    splits[i], head[i] = min(2, splits[i] + splits[i + len(s)]), s
+        if splits[0] == 0:
+            raise UnknownSymbol(f"{x!r} does not split into alphabet symbols")
+        if splits[0] > 1:
+            raise UnknownSymbol(
+                f"{x!r} splits into alphabet symbols in more than one way; "
+                "pass a sequence of symbols"
+            )
+        tokens, i = [], 0
+        while i < len(x):
+            tokens.append(head[i])
+            i += len(head[i])
+        return tokens
 
 
 def letters(k: int) -> Alphabet:

@@ -304,7 +304,7 @@ def check_rate_functions() -> CheckResult:
     )
 
 
-def _stitched_log_rank_error(source, n: int, budget: int = src.DEFAULT_BUDGET) -> float:
+def _stitched_log_rank_error(source, n: int) -> float:
     """Worst log-rank distance from the stitched curve to the exact staircase
     step of each rank in 8..k^n-8.
 
@@ -316,11 +316,8 @@ def _stitched_log_rank_error(source, n: int, budget: int = src.DEFAULT_BUDGET) -
     equal levels, so it is taken once per run that meets 8..k^n-8, from the
     run's level and its tie block's first and last rank.
     """
-    table = gw.build_rank_table(source, n, budget)
-    chain = not isinstance(source, src.CategoricalSource)  # the i.i.d. sweep tilts theta
-    points = ax.approx_pmf_curve(
-        source, n, budget=budget, log_probs=table.log_probs if chain else None
-    )
+    table = gw.build_rank_table(source, n)
+    points = ax.approx_pmf_curve(source, n, table=table)
     run_levels, lengths, groups = table._level_runs
     ends = np.cumsum(lengths, dtype=np.int64)
     starts = ends - lengths  # rank - 1 of each run's first string

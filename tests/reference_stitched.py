@@ -17,7 +17,7 @@ def reference_stitched_log_rank_error(source, n):
     """Worst log-rank distance from the stitched curve to the tie-group
     interval of each rank in 8..k^n-8, computed rank by rank."""
     table = gw.build_rank_table(source, n)
-    points = ax.approx_pmf_curve(source, n, log_probs=table.log_probs)
+    points = ax.approx_pmf_curve(source, n, table=table)
     sorted_logp = table.log_probs[table.order]
     groups = reference_tie_groups(sorted_logp, gw.TIE_TOL_PER_SYMBOL * n)
     ranks = np.arange(8, table.size - 8 + 1)

@@ -206,7 +206,7 @@ class TestApproxPmfCurve:
         source = request.getfixturevalue(name)
         table = tl.build_rank_table(source, 7)
         assert np.array_equal(table.log_probs, tl.enumerate_word_log_probs(source, 7))
-        given = tl.approx_pmf_curve(source, 7, log_probs=table.log_probs)
+        given = tl.approx_pmf_curve(source, 7, table=table)
         assert given == tl.approx_pmf_curve(source, 7)
 
 

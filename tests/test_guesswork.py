@@ -131,6 +131,20 @@ class TestGuessworkPmf:
         assert np.all(np.diff(pmf) <= TIE_TOL_PER_SYMBOL * n)
 
 
+class TestCorridorMass:
+    @pytest.mark.parametrize("epsilon", [math.nan, -0.1, 0.0, math.inf])
+    def test_width_must_be_positive_and_finite(self, s3, epsilon):
+        table = tl.build_rank_table(s3, 4)
+        with pytest.raises(InvalidInput, match="epsilon must be positive and finite"):
+            gw.corridor_mass(table, [0.5], epsilon)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_every_t_must_be_finite(self, s3, t):
+        table = tl.build_rank_table(s3, 4)
+        with pytest.raises(InvalidInput, match="must be finite"):
+            gw.corridor_mass(table, np.array([0.5, t]), 0.1)
+
+
 class TestTypicalSet:
     def test_small_epsilon_empty(self, s2):
         report = tl.typical_set(s2, tl.TypicalSetSpec(alpha=1.0, epsilon=0.1, n=1))
