@@ -248,10 +248,10 @@ def build_rank_table(
 
 
 def _require_table_for(source: SequenceSource, n: int, table: Optional[RankTable]) -> None:
-    """The one rule for a rank table given to a query (None: none given): it
-    holds the length-n strings of `source` by value, a source of the same
-    kind on the same alphabet with the same probability-array bytes (a
-    reloaded spec is a new object).  InvalidInput otherwise."""
+    """The one rule for a rank table given to a query; None, no table, passes.
+    The table must hold the length-n strings of `source` by value: a source
+    of the same kind on the same alphabet with the same probability-array
+    bytes (a reloaded spec is a new object).  InvalidInput otherwise."""
     if table is None:
         return
     if table.n != n:
