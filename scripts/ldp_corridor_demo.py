@@ -6,14 +6,28 @@ computed by full enumeration against the rate curve J(t), over a grid of t.
 """
 import argparse
 import math
+import sys
 
 import numpy as np
 
 import tiltlab as tl
+from tiltlab.cli import CONFIG_ERRORS
+from tiltlab.errors import TiltlabError
 from tiltlab.guesswork import corridor_mass
 
 
-def main() -> None:
+def main() -> int:
+    """Run the demo; a library error is one stderr line and exit 2 for an
+    input or spec error, 1 for any other."""
+    try:
+        demo()
+    except TiltlabError as exc:
+        print(f"ldp_corridor_demo: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, CONFIG_ERRORS) else 1
+    return 0
+
+
+def demo() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=10)
     parser.add_argument("--epsilon", type=float, default=0.1)
@@ -33,4 +47,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

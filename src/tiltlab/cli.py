@@ -338,7 +338,7 @@ def _cmd_approx(args) -> int:
     grid = _parse_grid(args.alpha_grid, source, "tilt orders") if args.alpha_grid else None
     grid = ax._sweep_grid(source, args.n, grid)[0]  # input errors before enumerating
     table = gw.build_rank_table(source, args.n, budget)
-    points = ax.approx_pmf_curve(source, args.n, alpha_grid=grid, budget=budget, table=table)
+    points = ax.approx_pmf_curve(source, args.n, alpha_grid=grid, table=table)
     meta = _source_meta(args)
     fields = ("alpha", "level_nats", "approx_rank", "guesswork_rank", "probability")
     curve = {f: _float_bytes(np.array([getattr(p, f) for p in points])) for f in fields}

@@ -15,6 +15,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from . import sources
 from .errors import AlphabetMismatch, InvalidInput, OutOfRange, UnknownString, UnknownSymbol
 from .measures import _cross_entropy, _cross_varentropy, _relative_entropy, _tilted_arrays
 from .numeric import _exp_or_inf, log_sum_exp
@@ -59,13 +60,6 @@ def _rank_order(levels: np.ndarray, level_of: np.ndarray, tie_tol: float) -> np.
     group = np.empty(levels.size, dtype=ids.dtype)
     group[by_level] = ids
     return np.argsort(group[level_of], kind="stable")
-
-
-#: rows decoded at a time by `RankTable.records`
-_RECORDS_CHUNK = 1 << 16
-
-#: ranks scattered into `RankTable.rank_of` at a time on its first read
-_RANK_BLOCK = 1 << 16
 
 
 def _decode_strings(symbols: tuple[str, ...], n: int, lex_indices: np.ndarray) -> list[str]:
@@ -128,10 +122,10 @@ class RankTable:
     @cached_property
     def rank_of(self) -> np.ndarray:
         """G by lexicographic string index, the inverse of `order`: scattered
-        `_RANK_BLOCK` ranks at a time on first read, read-only."""
+        `sources._BLOCK` ranks at a time on first read, read-only."""
         rank_of = np.empty(self.size, dtype=np.int64)
-        for start in range(0, self.size, _RANK_BLOCK):
-            block = self.order[start : start + _RANK_BLOCK]
+        for start in range(0, self.size, sources._BLOCK):
+            block = self.order[start : start + sources._BLOCK]
             rank_of[block] = np.arange(start + 1, start + block.size + 1)
         return _read_only(rank_of)[0]
 
@@ -202,10 +196,10 @@ class RankTable:
         return _read_only(first, last, sizes)
 
     def records(self) -> Iterator[tuple[str, float, int, int]]:
-        """(string, log-prob, G, R) rows in rank order."""
+        """(string, log-prob, G, R) rows in rank order, `sources._BLOCK` at a time."""
         size = self.size
-        for start in range(0, size, _RECORDS_CHUNK):
-            idx = self.order[start : start + _RECORDS_CHUNK]
+        for start in range(0, size, sources._BLOCK):
+            idx = self.order[start : start + sources._BLOCK]
             strings = _decode_strings(self.source.alphabet.symbols, self.n, idx)
             ranks = range(start + 1, start + idx.size + 1)
             logps = self.levels[self.level_of[idx]].tolist()

@@ -299,6 +299,7 @@ class MarkovSource:
     transition: np.ndarray
     initial: np.ndarray
     initial_mode: str = "explicit"
+    log_transition: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         k = len(self.alphabet)
@@ -306,6 +307,9 @@ class MarkovSource:
             ("transition", (k, k), "be |alphabet| square"),
             ("initial", (k,), "have one entry per symbol"),
         ))
+        with np.errstate(divide="ignore"):
+            object.__setattr__(self, "log_transition", np.log(self.transition))
+        self.log_transition.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,7 +345,7 @@ def string_log_prob(source: SequenceSource, x: Union[str, Sequence[str]]) -> flo
     the same rules: an i.i.d. string gets its type class's log-prob, summed
     by the class rule (so a zero-probability symbol gives -inf only to
     strings that use it), and Markov and hidden Markov strings run the
-    enumeration's forward recursion with one symbol per level.  It is the
+    enumeration's level loop, one symbol slice per level, as one block.  It is the
     entry bit for bit, except that a hidden chain with many states may move
     the last bits: one row's state sums and products reduce in another order.
     """
@@ -353,81 +357,80 @@ def string_log_prob(source: SequenceSource, x: Union[str, Sequence[str]]) -> flo
             if count:
                 lp += count * log_theta
         return lp
-    return float(_forward(source)(source, idx[:, None])[0])
+    return float(_forward(source)(source, [slice(i, i + 1) for i in idx.tolist()])[0][0])
 
 
 def _forward(source: Union[MarkovSource, HiddenMarkovSource]):
-    """The word log-prob recursion of a Markov or hidden Markov source."""
+    """The level loop of a Markov or hidden Markov source."""
     return _markov_forward if isinstance(source, MarkovSource) else _hmm_forward
 
 
-def _markov_forward(source: MarkovSource, levels) -> np.ndarray:
-    """The log-prob of every word whose j-th symbol runs over the symbols
-    `levels[j]` selects, in lexicographic order.
-
-    Each level adds to every prefix's log-prob the log-prob of each selected
-    symbol: the start distribution's at the first level, after that the
-    transition row of the prefix's last symbol.
-    """
-    with np.errstate(divide="ignore"):
-        rows = np.log(source.initial)[None, :]  # the next symbol's log-probs
-        log_t = np.log(source.transition)
-    logp = np.zeros((1, 1))  # prefixes x the symbols of their last level
-    for symbols in levels:
-        logp = logp[:, :, None] + rows[:, symbols]
-        logp = logp.reshape(-1, logp.shape[-1])
-        rows = log_t[symbols]
-    return logp.reshape(-1)
-
-
-#: words per block of the hidden-Markov enumeration below its first level
-_HMM_BLOCK = 1 << 16
-
-
-def _hmm_forward(source: HiddenMarkovSource, levels) -> np.ndarray:
-    """Scaled forward recursion: the log-prob of every word whose j-th symbol
-    runs over the emission rows `levels[j]` selects, in lexicographic order.
-
-    Each level multiplies each selected emission into every prefix's state
-    vector (the start distribution at the first level) and adds the log of
-    the sum; only a state that a next level propagates is normalized by it.
-    A slice (all symbols) keeps `emission.T` a column-major view, which sets
-    the first level's summation order bit for bit; later products are built
-    in C order, so their `reshape` is a view, not a copy.
-
-    The first level is one block.  Below it the prefixes are expanded depth
-    first, in blocks of at most `_HMM_BLOCK` words (at least one prefix), and
-    the last level's words are written into one output: a prefix's row is
-    computed alone, so the block height leaves every bit as it is, and only
-    one block per level is alive.
-    """
-    emission_t = source.emission.T  # (symbols, states)
-    emits = [emission_t[symbols] for symbols in levels]
-    widths = [len(emit) for emit in emits]
-    out = np.empty(math.prod(widths))
-    # (levels applied, index of the first row among that level's prefixes, states, log-probs)
-    stack = [(0, 0, source.initial[None, :], np.zeros(1))]
-    while stack:
-        j, first, prior, logp = stack.pop()
-        rows = max(1, _HMM_BLOCK // widths[j])
-        if logp.size > rows:  # split; the lowest rows are expanded first
-            stack.extend((j, first + lo, prior[lo : lo + rows], logp[lo : lo + rows])
-                         for lo in reversed(range(0, logp.size, rows)))
-            continue
-        last = j + 1 == len(emits)
-        product = np.multiply(prior[:, None, :], emits[j][None], order="K" if j == 0 else "C")
-        forward = product.reshape(-1, source.n_states)
-        scale = forward.sum(axis=1)
-        if not last:
-            prior = (forward / np.where(scale > 0, scale, 1.0)[:, None]) @ source.transition
-        del product, forward
-        first *= widths[j]
-        words = out[first : first + scale.size] if last else np.empty(scale.size)
+def _markov_forward(source: MarkovSource, levels, start=None, out=None, carry=False):
+    """(log-probs, states) of the words that extend a prefix by one symbol per
+    level, the j-th over the symbols `levels[j]` selects, in lexicographic
+    order; the last level writes into `out` when given.  A word's state is
+    its next symbol's log-probs: the start's for the empty prefix (`start`
+    None), else its last symbol's transition row, row p % len(rows) for word
+    p.  A state is a view, so `carry` changes nothing here."""
+    if start is None:
         with np.errstate(divide="ignore"):
-            np.add(np.repeat(logp, widths[j]), np.log(scale), out=words)
-        if not last:
-            stack.append((j + 1, first, prior, words))
-        del scale, prior, logp, words  # nothing of this block outlives it but its stack entry
+            start = (np.zeros(1), np.log(source.initial)[None, :])
+    logp, rows = start
+    for j, symbols in enumerate(levels):
+        step = rows[:, symbols]  # (last symbols, next symbols)
+        last = out is not None and j + 1 == len(levels)
+        prefix = logp.reshape(-1, len(step), 1)
+        words = np.add(prefix, step, out=out.reshape(-1, *step.shape)) if last else prefix + step
+        logp, rows = words.reshape(-1), source.log_transition[symbols]
+    return logp, rows
+
+
+def _hmm_forward(source: HiddenMarkovSource, levels, start=None, out=None, carry=False):
+    """Scaled forward recursion: `_markov_forward` for a hidden chain, whose
+    word's state is its propagated state vector (the start distribution for
+    the empty prefix).  Each level adds the log of each product's sum, and
+    only a state that a next level (or `carry`) propagates is normalized by
+    it.  A slice (all symbols) keeps `emission.T` a column-major view, which
+    sets the first level's summation order from the start distribution; every
+    other product is built in C order, so its `reshape` is a view."""
+    emission_t = source.emission.T  # (symbols, states)
+    logp, prior = (np.zeros(1), source.initial[None, :]) if start is None else start
+    with np.errstate(divide="ignore"):  # a zero sum's log is -inf
+        for j, symbols in enumerate(levels):
+            emit = emission_t[symbols]
+            order = "K" if start is None and j == 0 else "C"
+            product = np.multiply(prior[:, None, :], emit[None], order=order)
+            forward = product.reshape(-1, source.n_states)
+            scale = forward.sum(axis=1)
+            last = j + 1 == len(levels)
+            if carry or not last:
+                prior = (forward / np.where(scale > 0, scale, 1.0)[:, None]) @ source.transition
+            del product, forward
+            words = np.repeat(logp, len(emit))
+            logp = np.add(words, np.log(scale), out=out if last and out is not None else words)
+    return logp, prior
+
+
+#: strings per block: chain words below a prefix, rank table ranks or rows
+_BLOCK = 1 << 16
+
+
+def _chain_words(source: Union[MarkovSource, HiddenMarkovSource], n: int) -> np.ndarray:
+    """The log-prob of every length-n word of a chain, in lexicographic order.
+    The first `head` levels run for all k^head prefixes at once: the fewest,
+    at most n - 1, that leave each prefix at most `_BLOCK` words (if 0, one
+    run does all).  Then each prefix runs the rest from its log-prob and
+    state into its slice of the output, so the blocks keep every bit and
+    only one block's temporaries are alive at a time."""
+    forward, k = _forward(source), len(source.alphabet)
+    head = next((h for h in range(n - 1) if k ** (n - h) <= _BLOCK), n - 1)
+    if head == 0:
+        return forward(source, [slice(None)] * n)[0]
+    logp, state = forward(source, [slice(None)] * head, carry=True)
+    out = np.empty(k**n)
+    for p, block in enumerate(out.reshape(logp.size, -1)):
+        start = (logp[p : p + 1], state[p % len(state)][None])
+        forward(source, [slice(None)] * (n - head), start, block)
     return out
 
 
@@ -467,13 +470,14 @@ def enumerate_word_log_probs(
     bit-identical values (that is what makes probability ties exact).  Markov
     strings extend prefix log-probs one transition at a time (`_markov_forward`);
     hidden Markov strings carry a scaled forward vector per prefix
-    (`_hmm_forward`).  `string_log_prob` runs the same rules on one string.
+    (`_hmm_forward`); both run in prefix blocks (`_chain_words`).
+    `string_log_prob` runs the same rules on one string.
     """
     if isinstance(source, CategoricalSource):
         levels, level_of = _word_levels(source, n, budget)
         return levels[level_of]
     require_budget(len(source.alphabet), n, budget)
-    return _forward(source)(source, [slice(None)] * n)
+    return _chain_words(source, n)
 
 
 def _word_levels(source: SequenceSource, n: int, budget: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,11 @@
-"""Reference hidden-Markov likelihoods: the two forward recursions that
-`sources._hmm_forward` replaced, kept as a test oracle.
+"""Reference chain likelihoods, kept as test oracles.
 
-`reference_hmm_word_log_probs` is the old enumeration branch: every
+`reference_markov_word_log_probs` is the Markov enumeration before prefix
+blocks: every length-n word in lexicographic order, one whole level at a
+time.  The block driver must give the same floats, bit for bit.
+
+The two hidden-Markov forward recursions are the ones `sources._hmm_forward`
+replaced.  `reference_hmm_word_log_probs` is the old enumeration branch: every
 length-n word in lexicographic order, one scaled forward vector per prefix,
 with the first level written out before the loop.  `reference_hmm_log_prob`
 is the old per-string recursion over a 1-D forward vector, which returns
@@ -12,6 +16,22 @@ the same floats, bit for bit.
 on the int64 views of the enumerated log-probs.
 """
 import numpy as np
+
+
+def reference_markov_word_log_probs(source, n):
+    """Log-prob of every length-n word of a Markov source: each level adds to
+    every prefix's log-prob the log-prob of each symbol, the start
+    distribution's at the first level, after that the transition row of the
+    prefix's last symbol."""
+    with np.errstate(divide="ignore"):
+        rows = np.log(source.initial)[None, :]  # the next symbol's log-probs
+        log_t = np.log(source.transition)
+    logp = np.zeros((1, 1))  # prefixes x the symbols of their last level
+    for _ in range(n):
+        logp = logp[:, :, None] + rows
+        logp = logp.reshape(-1, logp.shape[-1])
+        rows = log_t
+    return logp.reshape(-1)
 
 
 def reference_hmm_word_log_probs(source, n):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import tiltlab as tl
 from tiltlab import guesswork as gw
+from tiltlab import sources
 from tiltlab.errors import BudgetExceeded, InvalidInput, UnknownString
 from tiltlab.guesswork import TIE_TOL_PER_SYMBOL
 
@@ -101,7 +102,7 @@ class TestRankTable:
             (strings[i], float(table.log_probs[i]), r, table.size + 1 - r)
             for r, i in enumerate(table.order.tolist(), start=1)
         ]
-        monkeypatch.setattr(gw, "_RECORDS_CHUNK", 7)  # 243 rows: 34 full chunks and 5 left
+        monkeypatch.setattr(sources, "_BLOCK", 7)  # 243 rows: 34 full chunks and 5 left
         rows = list(table.records())
         assert rows == expected
         assert {tuple(map(type, row)) for row in rows} == {(str, float, int, int)}

@@ -52,3 +52,17 @@ def test_ldp_corridor_demo_prints_one_row_per_t():
     assert all(len(row) == 4 for row in rows)
     for row in rows:
         [float(cell) for cell in row]  # every cell is a number (or inf)
+
+
+def test_ldp_corridor_demo_maps_an_input_error_to_exit_2():
+    done = run_script("ldp_corridor_demo.py", "--n", 6, "--epsilon", "nan")
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == ["ldp_corridor_demo: epsilon must be positive and finite"]
+
+
+def test_ldp_corridor_demo_maps_a_budget_error_to_exit_1():
+    done = run_script("ldp_corridor_demo.py", "--n", 30)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "ldp_corridor_demo: 3^30 strings exceed the enumeration budget 16777216"
+    ]

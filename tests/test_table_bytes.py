@@ -1,13 +1,14 @@
 """Rank tables in few bytes per string, with every bit kept.
 
-The hidden-Markov enumeration expands its prefixes in blocks below the first
-level; its words must have the old recursion's bits whatever the block height
-and the BLAS thread count.  A chain table's level index is built from one
+The Markov and hidden-Markov enumerations run in prefix blocks; their words
+must have the old recursions' bits whatever the block height (and, for the
+hidden chain, the BLAS thread count), and one word runs no block driver.  A chain table's level index is built from one
 sort of the enumerated bits and must equal `np.unique`'s.  The build's
 tracemalloc peak per string is bounded, and `tie_groups()` takes the smallest
 unsigned integer type that holds the number of groups.
 """
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -22,7 +23,11 @@ from tiltlab import sources
 from tiltlab.sources import DEFAULT_BUDGET, _word_levels
 
 from conftest import random_hmm, random_markov
-from reference_sources import reference_hmm_word_log_probs, reference_word_levels
+from reference_sources import (
+    reference_hmm_word_log_probs,
+    reference_markov_word_log_probs,
+    reference_word_levels,
+)
 from test_word_tables import enumeration_peak_per_word
 
 #: largest n of the block-height checks
@@ -33,7 +38,7 @@ BLOCKS = (1, None, "7k", 4096)
 
 #: block heights checked under each BLAS thread count: those whose matrix
 #: products have many rows (one prefix's product has k rows)
-THREADED_BLOCKS = ("7k", 4096, sources._HMM_BLOCK)
+THREADED_BLOCKS = ("7k", 4096, sources._BLOCK)
 
 #: tracemalloc peak per string allowed to a chain build at n = 12; the
 #: `np.unique` level index peaked at 49 B, one sort of the bits at 24 B
@@ -44,8 +49,12 @@ CHAIN_BUILD_BYTES_PER_STRING = 30
 S2_BUILD_BYTES_PER_STRING = 20
 
 #: tracemalloc peak per word allowed to the s3_hmm enumeration at n = 13:
-#: 48 B with the last level whole, about 12 B in 2^16-word blocks
-HMM_BLOCK_PEAK_BYTES_PER_WORD = 16
+#: 48 B with the last level whole, 12.2 B in a depth-first block stack,
+#: 9.3 B in prefix blocks written into the output
+HMM_BLOCK_PEAK_BYTES_PER_WORD = 10.5
+
+#: the same for s3_markov: 10.75 B whole levels, 8.2 B in prefix blocks
+MARKOV_BLOCK_PEAK_BYTES_PER_WORD = 9
 
 
 def bits(values):
@@ -56,8 +65,16 @@ def block_words(block, k):
     return {None: k, "7k": 7 * k}.get(block, block)
 
 
+def shipped(name):
+    return tl.load_source(tl.builtin_spec_path(name))
+
+
 def hmm_sources():
-    return [tl.load_source(tl.builtin_spec_path("s3_hmm"))] + [random_hmm(seed) for seed in range(12)]
+    return [shipped("s3_hmm")] + [random_hmm(seed) for seed in range(12)]
+
+
+def markov_sources():
+    return [shipped("s3_markov")] + [random_markov(seed) for seed in range(12)]
 
 
 def hmm_block_digest():
@@ -69,7 +86,7 @@ def hmm_block_digest():
         for n in range(1, BLOCK_N_MAX + 1):
             want = bits(reference_hmm_word_log_probs(source, n))
             for block in THREADED_BLOCKS:
-                sources._HMM_BLOCK = block_words(block, len(source.alphabet))
+                sources._BLOCK = block_words(block, len(source.alphabet))
                 got = bits(tl.enumerate_word_log_probs(source, n))
                 assert np.array_equal(got, want), (source, n, block)
             digest.update(want.tobytes())
@@ -79,7 +96,7 @@ def hmm_block_digest():
 @pytest.mark.parametrize("block", BLOCKS, ids=lambda b: f"block-{b or 'k'}")
 def test_hmm_blocks_keep_the_reference_bits(block, monkeypatch):
     for source in hmm_sources():
-        monkeypatch.setattr(sources, "_HMM_BLOCK", block_words(block, len(source.alphabet)))
+        monkeypatch.setattr(sources, "_BLOCK", block_words(block, len(source.alphabet)))
         for n in range(1, BLOCK_N_MAX + 1):
             got = bits(tl.enumerate_word_log_probs(source, n))
             np.testing.assert_array_equal(got, bits(reference_hmm_word_log_probs(source, n)))
@@ -110,8 +127,66 @@ def test_hmm_block_enumeration_peak_per_word(s3_hmm):
     assert enumeration_peak_per_word(s3_hmm, 13) < HMM_BLOCK_PEAK_BYTES_PER_WORD
 
 
-def shipped(name):
-    return tl.load_source(tl.builtin_spec_path(name))
+@pytest.mark.parametrize("block", BLOCKS, ids=lambda b: f"block-{b or 'k'}")
+def test_markov_blocks_keep_the_reference_bits(block, monkeypatch):
+    infinite = False
+    for source in markov_sources():
+        monkeypatch.setattr(sources, "_BLOCK", block_words(block, len(source.alphabet)))
+        for n in range(1, BLOCK_N_MAX + 1):
+            got = bits(tl.enumerate_word_log_probs(source, n))
+            np.testing.assert_array_equal(got, bits(reference_markov_word_log_probs(source, n)))
+            infinite |= bool(np.isneginf(got.view(np.float64)).any())
+    assert infinite  # zero transitions give some words -inf
+
+
+def test_markov_block_enumeration_peak_per_word(s3_markov):
+    assert enumeration_peak_per_word(s3_markov, 13) < MARKOV_BLOCK_PEAK_BYTES_PER_WORD
+
+
+#: (chain, its level loop, its oracle) of the block-edge checks
+EDGES = [
+    ("s3_markov", "_markov_forward", reference_markov_word_log_probs),
+    ("s3_hmm", "_hmm_forward", reference_hmm_word_log_probs),
+]
+
+
+@pytest.mark.parametrize("name, loop, reference", EDGES, ids=[name for name, _, _ in EDGES])
+def test_block_edges(name, loop, reference, monkeypatch):
+    """k^n words in exactly one block run as one call from the empty prefix;
+    one level more runs a one-level head and one call per prefix; n = 1 is
+    one call whatever the block."""
+    source, calls = shipped(name), []
+    run = getattr(sources, loop)
+
+    def spy(source, levels, start=None, *args, **kwargs):
+        calls.append((len(levels), start is None))
+        return run(source, levels, start, *args, **kwargs)
+
+    monkeypatch.setattr(sources, loop, spy)
+    k, n = len(source.alphabet), 5
+    for block, length, want in [
+        (k**n, n, [(n, True)]),
+        (k**n, n + 1, [(1, True)] + [(n, False)] * k),
+        (1, 1, [(1, True)]),
+    ]:
+        monkeypatch.setattr(sources, "_BLOCK", block)
+        calls.clear()
+        got = bits(tl.enumerate_word_log_probs(source, length))
+        np.testing.assert_array_equal(got, bits(reference(source, length)))
+        assert calls == want, (block, length)
+
+
+@pytest.mark.parametrize("name", ["s3_markov", "s3_hmm"])
+def test_one_word_runs_no_block_driver(name, monkeypatch):
+    source = shipped(name)
+    words = list(itertools.product(source.alphabet.symbols, repeat=6))
+    want = bits(tl.enumerate_word_log_probs(source, 6))
+
+    def no_driver(*args):
+        raise AssertionError("string_log_prob entered the block driver")
+
+    monkeypatch.setattr(sources, "_chain_words", no_driver)
+    np.testing.assert_array_equal(bits([tl.string_log_prob(source, w) for w in words]), want)
 
 
 #: (source maker, its argument, largest n) of the chain level indexes checked
