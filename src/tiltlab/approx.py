@@ -82,10 +82,10 @@ def approx_guesswork(
         return r
     if branch == "reverse":
         if alphabet_size is None:
-            raise ValueError("reverse branch needs alphabet_size")
+            raise InvalidInput("reverse branch needs alphabet_size")
         _string_count(alphabet_size, measures.n)  # raises before a huge exact k^n is built
         return alphabet_size**measures.n + 1 - r
-    raise ValueError(f"unknown branch {branch!r}")
+    raise InvalidInput(f"unknown branch {branch!r}")
 
 
 def approx_set_size(

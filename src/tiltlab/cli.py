@@ -16,6 +16,7 @@ staircase and then the stitched curve of the `approx` overlay.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -109,16 +110,13 @@ def _float_bytes(values: np.ndarray):
 
 
 def _int_bytes(values: np.ndarray):
-    """Ints as decimal digits from the table of four-digit groups."""
-    values = values.astype(np.int64, copy=False)
-    low, high = int(values.min(initial=0)), int(values.max(initial=0))
-    groups = -(-len(str(max(-low, high))) // 4)
+    """Non-negative ints as decimal digits from the table of four-digit groups."""
+    groups = -(-len(str(int(values.max(initial=0)))) // 4)
     table = _quads()
 
     def matrix(start, stop):
-        v = values[start:stop]
-        magnitude = np.abs(v).view(np.uint64)  # |-2**63| wraps to 2**63, which uint64 holds
-        quads = np.empty((v.size, groups), np.uint32)
+        magnitude = values[start:stop]
+        quads = np.empty((magnitude.size, groups), np.uint32)
         for j in reversed(range(groups)):  # the least significant group first
             rest, quad = np.divmod(magnitude, 10_000)
             index = quad.astype(np.intp) + 10_000 * (rest == 0)
@@ -126,11 +124,7 @@ def _int_bytes(values: np.ndarray):
                 index += 10_000 * (magnitude == 0)
             quads[:, j] = table.take(index)
             magnitude = rest
-        digits = quads.view(np.uint8)
-        if low >= 0:
-            return digits
-        # the sign goes left of the digits; the padding between them is dropped
-        return np.hstack([np.where(v < 0, ord("-"), _PAD).astype(np.uint8)[:, None], digits])
+        return quads.view(np.uint8)
 
     return values.size, matrix
 
@@ -361,7 +355,7 @@ def _cmd_verify(args) -> int:
         "seed": args.seed,
         "tiltlab_version": __version__,
         "passed": all(r.passed for r in results),
-        "checks": [r.as_dict() for r in results],
+        "checks": [dataclasses.asdict(r) for r in results],
     }
     _write_json(args.out, payload)
     for r in results:
@@ -371,9 +365,8 @@ def _cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p, *, needs_source=True, needs_n=False):
-    if needs_source:
-        p.add_argument("--source", required=True, help="path of a source spec JSON file")
+def _add_common(p, *, needs_n=False):
+    p.add_argument("--source", required=True, help="path of a source spec JSON file")
     if needs_n:
         p.add_argument("--n", type=int, required=True, help="string length")
     p.add_argument("--out", default=None, help="output path (default: stdout)")

@@ -148,6 +148,7 @@ class RankTable:
         return out
 
     def string_at(self, lex_index: int) -> str:
+        sources._require_int(lex_index, "lexicographic index", 0, self.size)
         return _decode_strings(self.source.alphabet.symbols, self.n, [lex_index])[0]
 
     def guesswork(self, x) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphabetMismatch
+from .errors import AlphabetMismatch, InvalidInput
 from .numeric import log_sum_exp
 from .sources import (
     CategoricalSource,
@@ -130,6 +130,8 @@ def renyi_entropy(mu: CategoricalSource, alpha: float, n: int = 1) -> float:
     (1-alpha), and the storage-level deviation of sum(theta) from 1 would
     otherwise surface as a spurious pole.
     """
+    if not math.isfinite(alpha):
+        raise InvalidInput(f"tilt order {float(alpha)} must be finite")
     if abs(1.0 - alpha) < 1e-9:
         return entropy(mu, n)
     if abs(1.0 - alpha) < 1e-3:

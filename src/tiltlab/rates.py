@@ -31,7 +31,7 @@ from .measures import (
     _tilted_arrays,
     _tilted_rows,
 )
-from .sources import CategoricalSource, _require_grid_budget, validate
+from .sources import CategoricalSource, _require_grid_budget, _require_int, validate
 
 KINDS = ("forward_g", "reverse_r", "information_i")
 
@@ -186,7 +186,7 @@ def alpha_for_entropy(
     """
     kind = {"positive": "forward_g", "negative": "reverse_r"}.get(branch)
     if kind is None:
-        raise ValueError(f"unknown branch {branch!r}")
+        raise InvalidInput(f"unknown branch {branch!r}")
     return float(_solve(source, kind, np.array([t], dtype=np.float64))[0])
 
 
@@ -304,8 +304,7 @@ def rate_curve(source: CategoricalSource, kind: str, n_samples: int = 201) -> Ra
     """Sample the rate curve on a uniform interior grid of t."""
     if kind not in KINDS:
         raise InvalidInput(f"unknown curve kind {kind!r}")
-    if n_samples < 3:
-        raise InvalidInput("need at least 3 samples")
+    _require_int(n_samples, "n_samples", 3)
     _require_grid_budget(source, n_samples)
     lo, hi = _domain(source, kind)
     return rate_points(source, kind, lo + (hi - lo) * np.arange(1, n_samples + 1) / (n_samples + 1))

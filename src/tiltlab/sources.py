@@ -37,7 +37,8 @@ DEFAULT_BUDGET = 2**24
 
 @dataclass(frozen=True, eq=False)
 class Alphabet:
-    """Ordered set of distinct symbol tokens.
+    """Ordered set of distinct symbol tokens, uniquely decodable: no string
+    splits into them in more than one way (SourceSpecError otherwise).
 
     The order is significant: it defines lexicographic comparison, which is
     how probability ties are broken everywhere in the library.
@@ -54,6 +55,11 @@ class Alphabet:
             raise SourceSpecError("alphabet symbols must be non-empty strings")
         if len(set(symbols)) != len(symbols):
             raise SourceSpecError("alphabet symbols must be distinct")
+        if not _uniquely_decodable(symbols):
+            raise SourceSpecError(
+                f"alphabet {symbols!r} is not uniquely decodable: "
+                "some string splits into its symbols in more than one way"
+            )
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
         object.__setattr__(self, "_one_char", all(len(s) == 1 for s in symbols))
 
@@ -74,8 +80,7 @@ class Alphabet:
 
         A `str` is split into the alphabet's symbols: per character when
         every symbol is one character, else by its one split into symbols
-        (UnknownSymbol when it has none or several).  An empty string is
-        InvalidInput.
+        (UnknownSymbol when it has none).  An empty string is InvalidInput.
         """
         tokens = list(x) if self._one_char or not isinstance(x, str) else self._split(x)
         if not tokens:
@@ -83,26 +88,42 @@ class Alphabet:
         return np.array([self.index(t) for t in tokens], dtype=np.int64)
 
     def _split(self, x: str) -> list[str]:
-        """The symbols of `x` by its one split into alphabet symbols, found
-        right to left: splits[i] counts the splits of x[i:] up to 2, and
-        head[i] is the first symbol of one of them."""
-        splits, head = [0] * len(x) + [1], [""] * len(x)
+        """The symbols of `x` by its split into alphabet symbols, found right
+        to left: splits[i] tells whether x[i:] splits, and head[i] is the
+        first symbol of its split (one at most: the alphabet is uniquely
+        decodable)."""
+        splits, head = [False] * len(x) + [True], [""] * len(x)
         for i in reversed(range(len(x))):
             for s in self.symbols:
                 if x.startswith(s, i) and splits[i + len(s)]:
-                    splits[i], head[i] = min(2, splits[i] + splits[i + len(s)]), s
-        if splits[0] == 0:
+                    splits[i], head[i] = True, s
+        if not splits[0]:
             raise UnknownSymbol(f"{x!r} does not split into alphabet symbols")
-        if splits[0] > 1:
-            raise UnknownSymbol(
-                f"{x!r} splits into alphabet symbols in more than one way; "
-                "pass a sequence of symbols"
-            )
         tokens, i = [], 0
         while i < len(x):
             tokens.append(head[i])
             i += len(head[i])
         return tokens
+
+
+def _uniquely_decodable(symbols: tuple[str, ...]) -> bool:
+    """The Sardinas-Patterson test.  The dangling suffixes start as the rest
+    of each symbol after another symbol that is a prefix of it; each round
+    takes the rests of symbols after dangling suffixes and of dangling
+    suffixes after symbols.  Some string splits into the symbols in more
+    than one way exactly when a dangling suffix is a symbol."""
+
+    def rests(prefixes, words):
+        return {w[len(p):] for p in prefixes for w in words if w != p and w.startswith(p)}
+
+    codes, seen = set(symbols), set()
+    dangling = rests(codes, codes)
+    while not dangling <= seen:
+        if dangling & codes:
+            return False
+        seen |= dangling
+        dangling = rests(dangling, codes) | rests(codes, dangling)
+    return True
 
 
 def letters(k: int) -> Alphabet:
@@ -162,9 +183,7 @@ def validate(source: CategoricalSource) -> None:
     if not isinstance(source, CategoricalSource):
         raise TypeError("validate applies to categorical sources only")
     theta = source.theta
-    total = float(np.sum(theta))
-    if abs(total - 1.0) > ASSUMPTION_TOL:
-        raise NotNormalized(f"probabilities sum to {total!r}, not 1")
+    _row_sums(theta, "probs")
     if float(np.min(theta)) <= ASSUMPTION_TOL:
         raise BoundaryViolation(
             "some symbol probability is at or below the open-simplex floor"
@@ -365,27 +384,25 @@ def _forward(source: Union[MarkovSource, HiddenMarkovSource]):
     return _markov_forward if isinstance(source, MarkovSource) else _hmm_forward
 
 
-def _markov_forward(source: MarkovSource, levels, start=None, out=None, carry=False):
+def _markov_forward(source: MarkovSource, levels, start=None, carry=False):
     """(log-probs, states) of the words that extend a prefix by one symbol per
     level, the j-th over the symbols `levels[j]` selects, in lexicographic
-    order; the last level writes into `out` when given.  A word's state is
-    its next symbol's log-probs: the start's for the empty prefix (`start`
-    None), else its last symbol's transition row, row p % len(rows) for word
-    p.  A state is a view, so `carry` changes nothing here."""
+    order.  A word's state is its next symbol's log-probs: the start's for
+    the empty prefix (`start` None), else its last symbol's transition row,
+    row p % len(rows) for word p.  A state is a view, so `carry` changes
+    nothing here."""
     if start is None:
         with np.errstate(divide="ignore"):
             start = (np.zeros(1), np.log(source.initial)[None, :])
     logp, rows = start
-    for j, symbols in enumerate(levels):
+    for symbols in levels:
         step = rows[:, symbols]  # (last symbols, next symbols)
-        last = out is not None and j + 1 == len(levels)
-        prefix = logp.reshape(-1, len(step), 1)
-        words = np.add(prefix, step, out=out.reshape(-1, *step.shape)) if last else prefix + step
-        logp, rows = words.reshape(-1), source.log_transition[symbols]
+        logp = (logp.reshape(-1, len(step), 1) + step).reshape(-1)
+        rows = source.log_transition[symbols]
     return logp, rows
 
 
-def _hmm_forward(source: HiddenMarkovSource, levels, start=None, out=None, carry=False):
+def _hmm_forward(source: HiddenMarkovSource, levels, start=None, carry=False):
     """Scaled forward recursion: `_markov_forward` for a hidden chain, whose
     word's state is its propagated state vector (the start distribution for
     the empty prefix).  Each level adds the log of each product's sum, and
@@ -402,12 +419,11 @@ def _hmm_forward(source: HiddenMarkovSource, levels, start=None, out=None, carry
             product = np.multiply(prior[:, None, :], emit[None], order=order)
             forward = product.reshape(-1, source.n_states)
             scale = forward.sum(axis=1)
-            last = j + 1 == len(levels)
-            if carry or not last:
+            if carry or j + 1 < len(levels):
                 prior = (forward / np.where(scale > 0, scale, 1.0)[:, None]) @ source.transition
             del product, forward
-            words = np.repeat(logp, len(emit))
-            logp = np.add(words, np.log(scale), out=out if last and out is not None else words)
+            logp = np.repeat(logp, len(emit))
+            logp += np.log(scale)
     return logp, prior
 
 
@@ -420,8 +436,9 @@ def _chain_words(source: Union[MarkovSource, HiddenMarkovSource], n: int) -> np.
     The first `head` levels run for all k^head prefixes at once: the fewest,
     at most n - 1, that leave each prefix at most `_BLOCK` words (if 0, one
     run does all).  Then each prefix runs the rest from its log-prob and
-    state into its slice of the output, so the blocks keep every bit and
-    only one block's temporaries are alive at a time."""
+    state, and its block is copied into its slice of the output, so the
+    blocks keep every bit and only one block's temporaries are alive at a
+    time."""
     forward, k = _forward(source), len(source.alphabet)
     head = next((h for h in range(n - 1) if k ** (n - h) <= _BLOCK), n - 1)
     if head == 0:
@@ -430,7 +447,7 @@ def _chain_words(source: Union[MarkovSource, HiddenMarkovSource], n: int) -> np.
     out = np.empty(k**n)
     for p, block in enumerate(out.reshape(logp.size, -1)):
         start = (logp[p : p + 1], state[p % len(state)][None])
-        forward(source, [slice(None)] * (n - head), start, block)
+        block[:] = forward(source, [slice(None)] * (n - head), start)[0]
     return out
 
 
@@ -438,6 +455,14 @@ def _require_length(n: int) -> None:
     """The one rule for a string length: n >= 1."""
     if n < 1:
         raise InvalidInput("n must be >= 1")
+
+
+def _require_int(value, what: str, low: int, high: float = math.inf) -> None:
+    """The one rule for an integer argument: an int or numpy integer, not a
+    bool, in [low, high); InvalidInput naming `what` otherwise."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and low <= value < high):
+        raise InvalidInput(f"{what} must be an integer in [{low}, {high}), not {value!r}")
 
 
 def require_budget(alphabet_size: int, n: int, budget: int) -> None:

@@ -38,14 +38,6 @@ class CheckResult:
     detail: str
     failures: list[str] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-            "failures": self.failures,
-        }
-
 
 def _shipped(name: str) -> src.SequenceSource:
     return src.load_source(src.builtin_spec_path(name))

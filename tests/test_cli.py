@@ -167,6 +167,11 @@ INPUT_RULES = {
     "rate grid shape": lambda: rt.rate_points(S3, "forward_g", [[0.5]]),
     "curve kind": lambda: rt.rate_curve(S3, "g"),
     "sample count": lambda: rt.rate_curve(S3, "forward_g", n_samples=2),
+    "fractional sample count": lambda: rt.rate_curve(S3, "forward_g", n_samples=5.5),
+    "approx branch": lambda: ax.approx_guesswork(ax.WordMeasures(4, 2.0, 1.0), "sideways"),
+    "reverse branch without the alphabet size": lambda: ax.approx_guesswork(
+        ax.WordMeasures(4, 2.0, 1.0), "reverse"),
+    "entropy branch": lambda: rt.alpha_for_entropy(S3, 0.5, "zero"),
 }
 
 
@@ -174,6 +179,26 @@ INPUT_RULES = {
 def test_input_rules_raise_invalid_input(rule):
     with pytest.raises(InvalidInput):
         rule()
+
+
+def test_renyi_order_is_refused_as_tilt_refuses_it():
+    for alpha in (np.inf, -np.inf, np.nan):
+        with pytest.raises(InvalidInput) as lone:
+            tl.tilt(S3, alpha)
+        with pytest.raises(InvalidInput, match=f"^{lone.value}$"):
+            ms.renyi_entropy(S3, alpha)
+
+
+@pytest.mark.parametrize("index", [4, 2**40, -1, 1.5, True, "0"])
+def test_string_at_refuses_indices_outside_the_table(index):
+    table = tl.build_rank_table(tl.load_source(tl.builtin_spec_path("s2")), 2)
+    with pytest.raises(InvalidInput, match=r"lexicographic index must be an integer in \[0, 4\)"):
+        table.string_at(index)
+
+
+def test_string_at_takes_numpy_integers():
+    table = tl.build_rank_table(tl.load_source(tl.builtin_spec_path("s2")), 2)
+    assert table.string_at(np.int64(3)) == table.string_at(np.uint8(3)) == table.string_at(3)
 
 
 S3_PATH = str(tl.builtin_spec_path("s3"))

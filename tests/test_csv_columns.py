@@ -58,8 +58,8 @@ def float_arrays(draw, size):
     return pool[draw(hnp.arrays(np.intp, size, elements=st.integers(0, pool.size - 1)))]
 
 
-def int_arrays(size):
-    return hnp.arrays(np.int64, size, elements=st.integers(-(2**63), 2**63 - 1))
+def int_arrays(size, low=-(2**63)):
+    return hnp.arrays(np.int64, size, elements=st.integers(low, 2**63 - 1))
 
 
 def str_lists(size):
@@ -76,7 +76,8 @@ def float_columns(size):
 
 
 def int_columns(size):
-    return int_arrays(size).map(lambda v: (cli._int_bytes(v), list(v)))
+    """Int columns are ranks, so `_int_bytes` takes non-negative ints only."""
+    return int_arrays(size, 0).map(lambda v: (cli._int_bytes(v), list(v)))
 
 
 def text_columns(size):
@@ -132,10 +133,10 @@ def test_coded_and_stacked_columns_match_the_row_writer(groups, block):
 
 @pytest.mark.parametrize("block", range(1, 10))
 def test_blocks_split_a_tuple_between_its_parts(block):
-    """A tuple of three row groups whose first fields differ in width: 5 ints
-    (one negative), 2 floats and 2 texts; the second field counts in sevens.
+    """A tuple of three row groups whose first fields differ in width: 5 ints,
+    2 floats and 2 texts; the second field counts in sevens.
     Blocks of 1 to 9 rows split the parts inside and between them."""
-    ints, floats, texts = [1, -20, 300, 4000, 50000], [0.5, -1e-300], ["x", "\u00e9"]
+    ints, floats, texts = [1, 20, 300, 4000, 50000], [0.5, -1e-300], ["x", "\u00e9"]
     firsts = [(cli._int_bytes(np.array(ints)), ints), (cli._float_bytes(np.array(floats)), floats),
               (cli._coded_bytes(texts, np.arange(2)), texts)]
     sevens = [7 * np.arange(a, b) for a, b in ((0, 5), (5, 7), (7, 9))]
@@ -144,7 +145,7 @@ def test_blocks_split_a_tuple_between_its_parts(block):
 
 
 def test_int_texts_are_str_at_the_int64_extremes():
-    edges = [-(2**63), -(2**63) + 1, -10001, -10000, -9999, -1, 0, 1, 9999, 10000, 2**63 - 1]
+    edges = [0, 1, 9999, 10000, 2**63 - 1]
     column = cli._int_bytes(np.array(edges, dtype=np.int64))
     assert written(cli._write_csv, ["n"], META, [column]).splitlines()[2:] == list(map(str, edges))
 

@@ -2,18 +2,32 @@
 
 `string_at`, `records` and `member_strings` join symbols into one `str`, so
 `Alphabet.encode` splits a `str` by the alphabet's symbols: per character
-when every symbol is one character, else by the string's one split.  A string
-with several splits is refused with UnknownSymbol, and a sequence of symbols
-is always read as given.
+when every symbol is one character, else by the string's one split.  An
+alphabet under which some string splits in two ways is refused when it is
+built (SourceSpecError), so every string has at most one split, and a
+sequence of symbols is always read as given.
 """
+import itertools
+import json
+
 import numpy as np
 import pytest
 
 import tiltlab as tl
-from tiltlab.errors import InvalidInput, UnknownString, UnknownSymbol
+from tiltlab.cli import main
+from tiltlab.errors import InvalidInput, SourceSpecError, UnknownSymbol
 
 WIDE = tl.Alphabet(("ab", "c", "d"))
-AMBIGUOUS = tl.Alphabet(("a", "b", "ab"))
+#: alphabets with a string of two splits, and that string
+AMBIGUOUS = [
+    (("a", "b", "ab"), "ab"),  # "ab" is a|b: 26 distinct strings of 27 at n = 3
+    (("ab", "ba", "a"), "aba"),  # no symbol joins others, yet ab|a = a|ba
+    (("a", "ab", "bab"), "abab"),  # the second round of dangling suffixes finds it
+    (("ab", "abc", "cd", "d"), "abcd"),
+]
+#: alphabets in which every string has at most one split
+DECODABLE = [("ab", "c", "d"), ("a", "ab", "c"), ("a", "ab", "bb"),
+             tuple(f"s{i}" for i in range(11)), ("p", "q", "r", "s")]
 
 
 def wide_sources(alphabet):
@@ -62,21 +76,66 @@ def test_the_first_string_of_the_issue_example():
 
 class TestAmbiguousSplits:
     def test_a_string_with_two_splits_is_refused(self):
-        with pytest.raises(UnknownSymbol, match="more than one way; pass a sequence of symbols"):
-            AMBIGUOUS.encode("ab")
+        """The alphabet is refused, not the string: under it no split rule,
+        even one that knows n, reads every table string back."""
+        for symbols, string in AMBIGUOUS:
+            splits = [seq for m in range(1, len(string) + 1)
+                      for seq in itertools.product(symbols, repeat=m) if "".join(seq) == string]
+            assert len(splits) == 2
+            with pytest.raises(SourceSpecError, match="not uniquely decodable"):
+                tl.Alphabet(symbols)
 
-    def test_the_refusal_reaches_the_table_and_the_log_prob(self):
-        source = wide_sources(AMBIGUOUS)[0]
-        table = tl.build_rank_table(source, 2)
-        with pytest.raises(UnknownString, match="more than one way"):
-            table.guesswork("ab")
-        with pytest.raises(UnknownSymbol, match="more than one way"):
-            tl.string_log_prob(source, "aab")
-        # a sequence of symbols is read as given, and a string with one split is read
-        assert table.index_of(["a", "b"]) == 1
-        assert table.index_of(("ab", "a")) == 6
-        assert [table.index_of(table.string_at(i)) for i in (0, 3, 4)] == [0, 3, 4]
-        assert AMBIGUOUS.encode("bba").tolist() == [1, 1, 0]
+    def test_spec_files_with_such_an_alphabet_exit_2(self, tmp_path, capsys):
+        for kind, fields in [
+            ("categorical", {"probs": [0.5, 0.3, 0.2]}),
+            ("markov", {"transition": [[0.5, 0.3, 0.2]] * 3}),
+            ("hmm", {"transition": [[1.0]], "emission": [[0.5, 0.3, 0.2]]}),
+        ]:
+            spec = {"kind": kind, "alphabet": ["a", "b", "ab"], **fields}
+            with pytest.raises(SourceSpecError, match="not uniquely decodable"):
+                tl.source_from_dict(spec)
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps(spec))
+            assert main(["guesswork", "--source", str(path), "--n", "3"]) == 2
+            assert "not uniquely decodable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("symbols", DECODABLE, ids=lambda s: "-".join(s[:4]))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_decodable_alphabets_read_every_table_string_back(symbols, n):
+    source = tl.CategoricalSource(tl.Alphabet(symbols), np.full(len(symbols), 1 / len(symbols)))
+    table = tl.build_rank_table(source, n)
+    strings = [table.string_at(i) for i in range(table.size)]
+    assert [table.index_of(x) for x in strings] == list(range(table.size))
+
+
+def two_splits_within(symbols, max_symbols):
+    """Whether two symbol sequences of at most `max_symbols` symbols join to one string."""
+    seen = set()
+    for m in range(1, max_symbols + 1):
+        for seq in itertools.product(symbols, repeat=m):
+            if (joined := "".join(seq)) in seen:
+                return True
+            seen.add(joined)
+    return False
+
+
+def test_the_refusal_is_the_brute_force_rule_on_small_alphabets():
+    """Every alphabet of 2 to 4 symbols from the 14 words of length 1 to 3
+    over {a, b}: it is refused exactly when two sequences of at most 6 of its
+    symbols join to one string (here such a pair never needs more than 4)."""
+    words = ["".join(w) for m in (1, 2, 3) for w in itertools.product("ab", repeat=m)]
+    refused = 0
+    for k in (2, 3, 4):
+        for symbols in itertools.combinations(words, k):
+            try:
+                tl.Alphabet(symbols)
+            except SourceSpecError:
+                refused += 1
+                assert two_splits_within(symbols, 6), symbols
+            else:
+                assert not two_splits_within(symbols, 6), symbols
+    assert 0 < refused < 1456
 
 
 def test_a_string_with_one_split_is_read():
