@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateVariance, InvalidInput, NegativeVariance, OutOfRange
 from .guesswork import RankTable, TypicalSetSpec, _require_table_for
-from .measures import _cross_entropy, _cross_varentropy, _tilted_arrays, _tilted_rows
+from .measures import _cross_entropy, _cross_varentropy, _tilted_rows
 from .numeric import _exp_or_inf
 from .sources import (
     DEFAULT_BUDGET,
@@ -98,9 +98,7 @@ def approx_set_size(
     """
     TypicalSetSpec(alpha, epsilon, n)  # the alpha != 0, epsilon > 0 and n >= 1 rules
     validate(source)
-    p, lp, _ = _tilted_arrays(source, alpha)
-    h = float(_cross_entropy(p, lp, n))
-    v = float(_cross_varentropy(p, lp, n))
+    _, h, v = next(_tilted_stats(source, n, np.array([alpha]), DEFAULT_BUDGET))
     if v <= 1e-12:
         raise DegenerateVariance("tilted varentropy is numerically zero")
     a = abs(alpha) * n * epsilon

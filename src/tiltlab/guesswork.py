@@ -16,8 +16,14 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import sources
-from .errors import AlphabetMismatch, InvalidInput, OutOfRange, UnknownString, UnknownSymbol
-from .measures import _cross_entropy, _cross_varentropy, _relative_entropy, _tilted_arrays
+from .errors import InvalidInput, OutOfRange, UnknownString, UnknownSymbol
+from .measures import (
+    _cross_entropy,
+    _cross_varentropy,
+    _on_support,
+    _relative_entropy,
+    _require_same_alphabet,
+)
 from .numeric import _exp_or_inf, log_sum_exp
 from .sources import (
     DEFAULT_BUDGET,
@@ -25,6 +31,7 @@ from .sources import (
     SequenceSource,
     _require_length,
     _word_levels,
+    tilt,
     validate,
 )
 
@@ -276,12 +283,16 @@ def _set_prob(logp: np.ndarray, members: np.ndarray) -> float:
 def corridor_mass(table: RankTable, ts, epsilon: float) -> list[float]:
     """P{|log G / n - t| < epsilon} for each t: the exact probability of the
     strings whose normalized log-guesswork lies strictly inside the corridor.
-    epsilon must be positive and every t finite (InvalidInput)."""
+    epsilon must be positive and the t a one-dimensional run of finite
+    values (InvalidInput)."""
     _require_width(epsilon)
-    if not np.isfinite(np.asarray(ts, dtype=np.float64)).all():
+    ts = np.asarray(ts, dtype=np.float64)
+    if ts.ndim != 1:
+        raise InvalidInput("ts must be one-dimensional")
+    if not np.isfinite(ts).all():
         raise InvalidInput("every corridor centre t must be finite")
     norm_log_rank = np.log(table.rank_of.astype(np.float64)) / table.n
-    return [_set_prob(table.log_probs, np.abs(norm_log_rank - t) < epsilon) for t in ts]
+    return [_set_prob(table.log_probs, np.abs(norm_log_rank - t) < epsilon) for t in ts.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +463,7 @@ def typical_set(
     if not np.isfinite(tilted).all():
         raise OutOfRange(f"tilt order {alpha} overflows the tilted log-probs at n={n}")
 
-    p, lp, lq = _tilted_arrays(source, alpha)
+    p, lp, lq = _on_support(tilt(source, alpha), source)
     level = float(_cross_entropy(p, lq, n))  # cross-entropy level of the window
     h_tilt = float(_cross_entropy(p, lp, n))
     vx = float(_cross_varentropy(p, lq, n))
@@ -582,8 +593,7 @@ def order_equivalent(
     compared as a cross-check, and the first disagreement (if any) is
     returned as a witness pair.
     """
-    if mu.alphabet != rho.alphabet:
-        raise AlphabetMismatch("sources are defined on different alphabets")
+    _require_same_alphabet(mu, rho)
     x = mu.log_theta
     y = rho.log_theta
     xc = x - x.mean()

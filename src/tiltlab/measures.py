@@ -18,7 +18,6 @@ from .numeric import log_sum_exp
 from .sources import (
     CategoricalSource,
     SequenceSource,
-    _tilted_theta,
     _tilted_thetas,
     string_log_prob,
 )
@@ -70,27 +69,15 @@ def _on_support(rho: CategoricalSource, mu: CategoricalSource):
     return rho.theta[support], rho.log_theta[support], mu.log_theta[support]
 
 
-def _tilted_arrays(source: CategoricalSource, alpha: float):
-    """`_on_support(tilt(source, alpha), source)`, bit for bit, with no
-    tilted source built: the order-alpha tilt's probabilities and log-probs
-    and the source's log-probs, where the tilt is positive."""
-    return _on_tilt_support(source, _tilted_theta(source, alpha))
-
-
-def _on_tilt_support(source: CategoricalSource, theta: np.ndarray):
-    support = theta > 0
-    p = theta[support]
-    return p, np.log(p), source.log_theta[support]
-
-
 def _tilted_rows(source: CategoricalSource, alphas: np.ndarray):
-    """`_tilted_arrays` at many orders at once, in groups for the measures
-    below: yields (rows, p, lp, lq), rows indexing `alphas`.
+    """`_on_support(tilt(source, alpha), source)` at many orders at once, in
+    groups for the measures below: yields (rows, p, lp, lq), rows indexing
+    `alphas`.
 
     The orders whose tilt is positive on every symbol form one group of 2-D
     p and lp, a row per order, with the source's log-probs as lq.  Each other
     order comes alone with its arrays restricted to the tilt's support, as
-    `_tilted_arrays` gives them: a dot product blocks its sum by the vector's
+    `_on_support` gives them: a dot product blocks its sum by the vector's
     length, so a row summed with its zero entries in place would round
     differently.
     """
@@ -99,12 +86,15 @@ def _tilted_rows(source: CategoricalSource, alphas: np.ndarray):
     p = thetas[full]
     yield np.flatnonzero(full), p, np.log(p), source.log_theta
     for i in np.flatnonzero(~full).tolist():
-        yield i, *_on_tilt_support(source, thetas[i])
+        support = thetas[i] > 0
+        p = thetas[i][support]
+        yield i, p, np.log(p), source.log_theta[support]
 
 
 # The cross measures on arrays restricted to rho's support, for callers that
-# hold arrays rather than sources (`_on_support`, `_tilted_arrays`,
-# `_tilted_rows`): p = rho's probabilities, lp = rho's log-probs, lq = mu's
+# hold arrays rather than sources.  Two producers make the arrays:
+# `_on_support` for one pair of sources, `_tilted_rows` for a grid of a
+# source's tilts.  p = rho's probabilities, lp = rho's log-probs, lq = mu's
 # log-probs.  On 2-D p (and lp) each row is one distribution, and the sums
 # run one BLAS dot per row (`np.vecdot`), the dot `np.dot` runs on a vector.
 

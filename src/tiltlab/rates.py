@@ -28,10 +28,10 @@ from .measures import (
     _cross_entropy,
     _cross_varentropy,
     _relative_entropy,
-    _tilted_arrays,
     _tilted_rows,
+    relative_entropy,
 )
-from .sources import CategoricalSource, _require_grid_budget, _require_int, validate
+from .sources import CategoricalSource, _require_grid_budget, _require_int, uniform, validate
 
 KINDS = ("forward_g", "reverse_r", "information_i")
 
@@ -210,7 +210,7 @@ def _endpoint_value(source: CategoricalSource, kind: str, at_lower: bool) -> flo
         return -math.log(source.min_prob if kind == "reverse_r" else source.max_prob)
     if kind == "information_i":
         return -math.log(source.min_prob)
-    return float(_relative_entropy(*_tilted_arrays(source, 0.0)))
+    return relative_entropy(uniform(source.alphabet), source)
 
 
 def _rate(source: CategoricalSource, t: float, kind: str) -> float:

@@ -37,8 +37,10 @@ DEFAULT_BUDGET = 2**24
 
 @dataclass(frozen=True, eq=False)
 class Alphabet:
-    """Ordered set of distinct symbol tokens, uniquely decodable: no string
-    splits into them in more than one way (SourceSpecError otherwise).
+    """Ordered set of distinct symbol tokens whose written strings read back:
+    no string splits into them in more than one way, and no symbol holds a
+    character that splits or quotes a CSV field (`,`, `"`, CR or LF);
+    SourceSpecError otherwise.
 
     The order is significant: it defines lexicographic comparison, which is
     how probability ties are broken everywhere in the library.
@@ -53,6 +55,11 @@ class Alphabet:
             raise SourceSpecError("alphabet needs at least two symbols")
         if any(not isinstance(s, str) or not s for s in symbols):
             raise SourceSpecError("alphabet symbols must be non-empty strings")
+        if any(c in s for s in symbols for c in ',"\r\n'):
+            raise SourceSpecError(
+                f"alphabet {symbols!r} has a symbol holding ',', '\"', CR or LF, "
+                "which a CSV field cannot hold unquoted"
+            )
         if len(set(symbols)) != len(symbols):
             raise SourceSpecError("alphabet symbols must be distinct")
         if not _uniquely_decodable(symbols):
@@ -207,13 +214,7 @@ def tilt(source: CategoricalSource, alpha: float) -> CategoricalSource:
     alpha = float(alpha)
     if alpha == 1.0:
         return source
-    return CategoricalSource(source.alphabet, _tilted_theta(source, alpha))
-
-
-def _tilted_theta(source: CategoricalSource, alpha: float) -> np.ndarray:
-    """The probability array of the order-alpha tilt, which `tilt` wraps in a
-    source: the one-row case of `_tilted_thetas`."""
-    return _tilted_thetas(source, np.array([alpha], dtype=np.float64))[0]
+    return CategoricalSource(source.alphabet, _tilted_thetas(source, np.array([alpha]))[0])
 
 
 def _tilted_thetas(source: CategoricalSource, alphas: np.ndarray) -> np.ndarray:
@@ -452,7 +453,10 @@ def _chain_words(source: Union[MarkovSource, HiddenMarkovSource], n: int) -> np.
 
 
 def _require_length(n: int) -> None:
-    """The one rule for a string length: n >= 1."""
+    """The one rule for a string length: an int or numpy integer, not a
+    bool, with n >= 1."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise InvalidInput(f"n must be an integer, not {n!r}")
     if n < 1:
         raise InvalidInput("n must be >= 1")
 
@@ -466,9 +470,10 @@ def _require_int(value, what: str, low: int, high: float = math.inf) -> None:
 
 
 def require_budget(alphabet_size: int, n: int, budget: int) -> None:
-    """n >= 1, and at most `budget` strings of length n."""
+    """n >= 1, an integer budget >= 1, and at most `budget` strings of length n."""
     _require_length(n)
-    if n >= budget.bit_length() or alphabet_size**n > budget:  # k >= 2: 2^n <= k^n
+    _require_int(budget, "budget", 1)
+    if n >= int(budget).bit_length() or alphabet_size ** int(n) > budget:  # k >= 2: 2^n <= k^n
         raise BudgetExceeded(
             f"{alphabet_size}^{n} strings exceed the enumeration budget {budget}"
         )

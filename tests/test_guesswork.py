@@ -145,6 +145,14 @@ class TestCorridorMass:
         with pytest.raises(InvalidInput, match="must be finite"):
             gw.corridor_mass(table, np.array([0.5, t]), 0.1)
 
+    @pytest.mark.parametrize("ts", [0.5, [[0.4, 0.7]]], ids=["scalar", "2-D"])
+    def test_centres_must_be_one_dimensional(self, s3, ts):
+        table = tl.build_rank_table(s3, 4)
+        with pytest.raises(InvalidInput, match="^ts must be one-dimensional$"):
+            gw.corridor_mass(table, ts, 0.1)
+        with pytest.raises(InvalidInput, match="^ts must be one-dimensional$"):
+            tl.rate_points(s3, "forward_g", ts)
+
 
 class TestTypicalSet:
     def test_small_epsilon_empty(self, s2):

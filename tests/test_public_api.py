@@ -1,5 +1,12 @@
-"""The names `from tiltlab import *` exports, pinned."""
+"""The names `from tiltlab import *` exports, pinned, and no private helper
+left behind without a caller in the library."""
+import ast
+from pathlib import Path
+
 import tiltlab as tl
+
+#: the library's modules; tests, perfbench and scripts are not callers
+MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "tiltlab").glob("*.py"))
 
 PUBLIC = [
     "Alphabet", "ApproxPoint", "BoundCheck", "CategoricalSource", "CrossEntropyRange",
@@ -22,3 +29,36 @@ def test_all_is_the_decided_list():
     # "guesswork" is the submodule; the one-line wrappers guesswork_pmf,
     # bound_ledger, reverse and tilted_family_sample stay public
     assert tl.__all__ == PUBLIC
+
+
+def private_definitions(tree: ast.Module):
+    """Each name with one leading underscore that the module defines at its
+    top level or in the body of a top-level class."""
+    bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    for node in (node for body in bodies for node in body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def loaded_names(tree: ast.Module):
+    """Every name the module reads, bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def test_every_private_helper_has_a_library_caller():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in MODULES}
+    loaded = {name for tree in trees.values() for name in loaded_names(tree)}
+    orphans = [f"{module}: {name}" for module, tree in trees.items()
+               for name in private_definitions(tree) if name not in loaded]
+    assert "sources.py" in trees
+    assert orphans == []

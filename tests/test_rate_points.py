@@ -20,7 +20,7 @@ from tiltlab.errors import (
     OutOfRange,
     TiltlabError,
 )
-from tiltlab.measures import _tilted_arrays, _tilted_rows
+from tiltlab.measures import _on_support, _tilted_rows
 from tiltlab.sources import DEFAULT_BUDGET
 
 import reference_rates as ref
@@ -252,7 +252,7 @@ def test_tilted_rows_match_the_per_order_arrays(source, extra_alphas, empty, zer
     for rows, p, lp, lq in _tilted_rows(source, alphas):
         for j, i in enumerate(np.atleast_1d(rows).tolist()):
             one = (p, lp, lq) if np.ndim(rows) == 0 else (p[j], lp[j], lq)
-            want = _tilted_arrays(source, alphas[i])
+            want = _on_support(tl.tilt(source, alphas[i]), source)
             assert [as_bits(a) for a in one] == [as_bits(a) for a in want], alphas[i]
             theta = reference_tilted_theta(source, alphas[i])
             assert as_bits(want[0]) == as_bits(theta[theta > 0])

@@ -100,6 +100,29 @@ class TestAmbiguousSplits:
             assert "not uniquely decodable" in capsys.readouterr().err
 
 
+#: alphabets with a symbol a CSV field cannot hold unquoted
+CSV_BREAKING = [("x,y", "z"), ('a"', "b"), ("a", "b\r"), ("a\nb", "c"), ("a", ",")]
+
+
+@pytest.mark.parametrize("symbols", CSV_BREAKING, ids=repr)
+def test_a_symbol_that_breaks_a_csv_field_is_refused(symbols):
+    with pytest.raises(SourceSpecError, match="CSV field cannot hold"):
+        tl.Alphabet(symbols)
+
+
+@pytest.mark.parametrize("command", [["guesswork", "--n", "2"], ["tilt", "--alpha-grid", "1,2"]])
+def test_spec_files_with_a_csv_breaking_symbol_exit_2(tmp_path, capsys, command):
+    spec = {"kind": "categorical", "alphabet": ["x,y", "z"], "probs": [0.6, 0.4]}
+    with pytest.raises(SourceSpecError, match="CSV field cannot hold"):
+        tl.source_from_dict(spec)
+    path, out = tmp_path / "spec.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(spec))
+    assert main([command[0], "--source", str(path), "--out", str(out), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert "CSV field cannot hold" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("symbols", DECODABLE, ids=lambda s: "-".join(s[:4]))
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_decodable_alphabets_read_every_table_string_back(symbols, n):

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 
 import tiltlab as tl
 from tiltlab.errors import DegenerateVariance
-from tiltlab.measures import _on_support, _tilted_arrays
 from tiltlab.numeric import _exp_or_inf
 
 import reference_measures as ref
@@ -83,15 +82,6 @@ def outcome(fn, *args):
 
 
 # -- tests ------------------------------------------------------------------
-
-@pytest.mark.parametrize("name", IID)
-def test_tilted_arrays_are_the_tilts_support_arrays(name):
-    source = shipped(name)
-    for alpha in grid_with_extremes().tolist() + [0.0, 1.0]:
-        got = _tilted_arrays(source, alpha)
-        want = _on_support(ref.tilt(source, alpha), source)
-        assert [as_bits(a) for a in got] == [as_bits(a) for a in want], alpha
-
 
 def assert_sweep_bits(source, n):
     points = tl.approx_pmf_curve(source, n, alpha_grid=grid_with_extremes())

@@ -170,6 +170,44 @@ def test_budget_is_exact_below_the_bit_length(k, n, budget, within):
             require_budget(k, n, budget)
 
 
+S2 = tl.load_source(tl.builtin_spec_path("s2"))
+
+#: calls given a string length that is not an integer, or a bool
+NON_INTEGER_LENGTHS = {
+    "table at 2.5": lambda: tl.build_rank_table(S2, 2.5),
+    "table at True": lambda: tl.build_rank_table(S2, True),
+    "word measures at 2.5": lambda: tl.word_measures(S2, 2.5),
+    "typical spec at 2.5": lambda: tl.TypicalSetSpec(0.5, 0.1, 2.5),
+    "approx curve at 2.5": lambda: tl.approx_pmf_curve(S2, 2.5),
+    "word log-probs at 2.0": lambda: tl.enumerate_word_log_probs(S2, 2.0),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_LENGTHS.values(), ids=NON_INTEGER_LENGTHS.keys())
+def test_a_length_must_be_an_integer(call):
+    with pytest.raises(InvalidInput, match="n must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("budget", [1e6, 100.0, True, False, 0, -1, np.int64(0), "100"])
+def test_a_budget_must_be_an_integer_of_at_least_1(budget):
+    with pytest.raises(InvalidInput, match=r"budget must be an integer in \[1, inf\)"):
+        tl.build_rank_table(S2, 2, budget=budget)
+    with pytest.raises(InvalidInput, match=r"budget must be an integer in \[1, inf\)"):
+        require_budget(2, 2, budget)
+
+
+def test_numpy_integer_lengths_and_budgets_are_taken():
+    want = tl.build_rank_table(S2, 3)
+    got = tl.build_rank_table(S2, np.int64(3), budget=np.int64(100))
+    assert got.n == 3 and np.array_equal(got.order, want.order)
+    with pytest.raises(BudgetExceeded, match=r"2\^7 strings exceed the enumeration budget 100"):
+        tl.build_rank_table(S2, np.int64(7), budget=np.int64(100))
+    # k^n is an exact Python integer: 3 ** np.int64(70) would wrap to 2.3e18
+    with pytest.raises(BudgetExceeded, match=r"3\^70 strings exceed"):
+        require_budget(3, np.int64(70), 2**100)
+
+
 def test_reverse_guesswork_rejects_a_huge_n_before_building_k_to_the_n():
     def reject():
         with pytest.raises(OutOfRange, match=r"3\^10000000 strings exceed the float range"):
