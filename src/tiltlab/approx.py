@@ -29,6 +29,8 @@ from .sources import (
     SequenceSource,
     _require_grid_budget,
     _require_length,
+    _require_real,
+    _require_reals,
     enumerate_word_log_probs,
     validate,
 )
@@ -61,6 +63,8 @@ def approx_rank(entropy_nats: float, varentropy_nats2: float) -> float:
     bit-exactly to e^entropy / 2 (half the effective number of strings).
     An entropy beyond the float range gives inf.
     """
+    entropy_nats = _require_real(entropy_nats, "entropy_nats")
+    varentropy_nats2 = _require_real(varentropy_nats2, "varentropy_nats2")
     if varentropy_nats2 < 0:
         raise NegativeVariance(f"varentropy {varentropy_nats2} is negative")
     half_pi_v = 0.5 * math.pi * varentropy_nats2
@@ -130,7 +134,7 @@ def default_alpha_grid(
     low: float = 1e-2, high: float = 20.0, per_side: int = 61
 ) -> np.ndarray:
     """Two-sided grid of tilt orders: log-spaced magnitudes on each sign."""
-    mags = np.geomspace(low, high, per_side)
+    mags = np.geomspace(_require_real(low, "low"), _require_real(high, "high"), per_side)
     return np.concatenate([-mags[::-1], mags])
 
 
@@ -148,9 +152,7 @@ def _sweep_grid(
     """The checked tilt-order grid of a sweep (the default when None) and the
     string count |alphabet|^n; an i.i.d. source is validated too.  The grid
     is held to the rate grid budget before any per-order array is built."""
-    grid = np.asarray(
-        default_alpha_grid() if alpha_grid is None else alpha_grid, dtype=np.float64
-    )
+    grid = _require_reals(default_alpha_grid() if alpha_grid is None else alpha_grid, "alpha grid")
     _require_grid_budget(source, grid.size, "tilt orders")
     if not np.all(np.isfinite(grid) & (grid != 0)):
         raise InvalidInput("alpha grid must be finite and exclude 0")

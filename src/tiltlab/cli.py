@@ -55,8 +55,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-#: rows formatted and written at a time
-_CSV_BLOCK = 1 << 16
 #: padding: a byte UTF-8 never uses, removed before a block is decoded
 _PAD = 0xFF
 #: most words in the table a string column gathers its words from
@@ -175,8 +173,8 @@ def _write_csv(path, header, meta: dict, *groups) -> None:
         out.write(meta_line + "\n" + ",".join(header) + "\n")
         for group in groups:
             sizes, matrices = zip(*group)
-            for start in range(0, sizes[0], _CSV_BLOCK):
-                stop = min(start + _CSV_BLOCK, sizes[0])
+            for start in range(0, sizes[0], src._BLOCK):
+                stop = min(start + src._BLOCK, sizes[0])
                 block = np.hstack([
                     part
                     for matrix, byte in zip(matrices, separators)

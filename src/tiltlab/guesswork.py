@@ -286,9 +286,7 @@ def corridor_mass(table: RankTable, ts, epsilon: float) -> list[float]:
     epsilon must be positive and the t a one-dimensional run of finite
     values (InvalidInput)."""
     _require_width(epsilon)
-    ts = np.asarray(ts, dtype=np.float64)
-    if ts.ndim != 1:
-        raise InvalidInput("ts must be one-dimensional")
+    ts = sources._require_reals(ts, "ts")
     if not np.isfinite(ts).all():
         raise InvalidInput("every corridor centre t must be finite")
     norm_log_rank = np.log(table.rank_of.astype(np.float64)) / table.n
@@ -309,7 +307,8 @@ class TypicalSetSpec:
     n: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha != 0):
+        alpha = sources._require_real(self.alpha, "alpha")
+        if not (math.isfinite(alpha) and alpha != 0):
             raise InvalidInput("alpha must be non-zero and finite")
         _require_width(self.epsilon)
         _require_length(self.n)
@@ -317,7 +316,7 @@ class TypicalSetSpec:
 
 def _require_width(epsilon: float) -> None:
     """The one rule for a window half-width epsilon: 0 < epsilon < inf."""
-    if not 0 < epsilon < math.inf:
+    if not 0 < sources._require_real(epsilon, "epsilon") < math.inf:
         raise InvalidInput("epsilon must be positive and finite")
 
 

@@ -18,6 +18,7 @@ from .numeric import log_sum_exp
 from .sources import (
     CategoricalSource,
     SequenceSource,
+    _require_real,
     _tilted_thetas,
     string_log_prob,
 )
@@ -120,8 +121,9 @@ def renyi_entropy(mu: CategoricalSource, alpha: float, n: int = 1) -> float:
     (1-alpha), and the storage-level deviation of sum(theta) from 1 would
     otherwise surface as a spurious pole.
     """
+    alpha = _require_real(alpha, "alpha")
     if not math.isfinite(alpha):
-        raise InvalidInput(f"tilt order {float(alpha)} must be finite")
+        raise InvalidInput(f"tilt order {alpha} must be finite")
     if abs(1.0 - alpha) < 1e-9:
         return entropy(mu, n)
     if abs(1.0 - alpha) < 1e-3:

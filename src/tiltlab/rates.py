@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sources
 from .errors import BracketFailure, DegenerateVariance, InvalidInput, OutOfRange
 from .measures import (
     _cross_entropy,
@@ -61,24 +62,15 @@ def cross_entropy_range(source: CategoricalSource) -> CrossEntropyRange:
     )
 
 
-#: how each kind's root is bracketed: the level's slope sign in alpha, the
-#: start bracket (lo, hi), then the two ends in walk order.  An end whose
-#: level lies on the wrong side of t steps outward by its factor, handing its
-#: old value to the other end; a step that leaves [1e-14, ALPHA_CAP] in
-#: |alpha| fails with the end's message.
+#: how `_bracket` brackets each kind's root: the level's slope sign in alpha,
+#: then the (start, factor, failure message) of the lo and hi ends
 _BRACKETS = {
-    "forward_g": (-1.0, (1e-6, 1.0), (
-        ("lo", 0.5, "t is too close to log|alphabet|"),
-        ("hi", 2.0, "t is too close to 0"),
-    )),
-    "reverse_r": (1.0, (-1.0, -1e-6), (
-        ("hi", 0.5, "t is too close to log|alphabet|"),
-        ("lo", 2.0, "t is too close to 0"),
-    )),
-    "information_i": (-1.0, (-1.0, 1.0), (
-        ("hi", 2.0, "t is too close to the min-cross entropy"),
-        ("lo", 2.0, "t is too close to the max-cross entropy"),
-    )),
+    "forward_g": (-1.0, (1e-6, 0.5, "t is too close to log|alphabet|"),
+                  (1.0, 2.0, "t is too close to 0")),
+    "reverse_r": (1.0, (-1.0, 2.0, "t is too close to 0"),
+                  (-1e-6, 0.5, "t is too close to log|alphabet|")),
+    "information_i": (-1.0, (-1.0, 2.0, "t is too close to the max-cross entropy"),
+                      (1.0, 2.0, "t is too close to the min-cross entropy")),
 }
 
 def _levels(source: CategoricalSource, kind: str, alphas: np.ndarray) -> np.ndarray:
@@ -96,7 +88,6 @@ def _solve(source: CategoricalSource, kind: str, ts: np.ndarray) -> np.ndarray:
     Raises the error of the first t, in order, that is outside the open
     domain or whose root cannot be bracketed.
     """
-    validate(source)
     lower, upper = _domain(source, kind)
     outside = np.flatnonzero(~((lower < ts) & (ts < upper)))
     head = ts[: outside[0]] if outside.size else ts
@@ -108,45 +99,35 @@ def _solve(source: CategoricalSource, kind: str, ts: np.ndarray) -> np.ndarray:
 
 
 def _bracket(source: CategoricalSource, kind: str, ts: np.ndarray):
-    """Walk every t's bracket out along the kind's two ladders in lockstep.
-
-    Every t that walks an end starts it from the same start value, so the
-    ladder points, and their levels, are shared by all t: one `_levels` call
-    gives them all.
-    """
-    slope, starts, walks = _BRACKETS[kind]
-    start = dict(zip(("lo", "hi"), starts))
-    ladders = {}
-    for end, factor, _ in walks:
-        ladder = [start[end]]
+    """Bracket every t's root on the kind's two ladders of alpha, whose
+    levels one `_levels` call gives.  An end whose level lies on the wrong
+    side of t steps outward by its factor, and fails with its message once
+    |alpha| would leave [1e-14, ALPHA_CAP]; so it stops at the first rung on
+    the right side, and the other end takes the rung before (its start if
+    the end stays).  Near alpha = 0 the levels need not be monotone in
+    floating point, so that rung is one search over the running extreme of
+    the end's levels.  No t lies on the wrong side of both starts, so at
+    most one end moves."""
+    slope, *ends = _BRACKETS[kind]
+    ladders = []
+    for start, factor, _ in ends:
+        ladder = [start]
         while 1e-14 <= abs(ladder[-1] * factor) <= ALPHA_CAP:
             ladder.append(ladder[-1] * factor)
-        ladders[end] = ladder
-    levels = _levels(source, kind, np.array(ladders["lo"] + ladders["hi"]))
-    rungs = {"lo": levels[: len(ladders["lo"])], "hi": levels[len(ladders["lo"]) :]}
-    ends = {e: np.full(ts.size, start[e]) for e in start}
-    f = {e: rungs[e][0] - ts for e in start}
-    failed = np.full(ts.size, None, dtype=object)
-    for end, _, message in walks:
-        other = "hi" if end == "lo" else "lo"
-        wrong = slope if end == "lo" else -slope
-        steps = zip(ladders[end][1:], rungs[end][1:].tolist())
-        walking = wrong * f[end] > 0.0
-        while walking.any():
-            ends[other][walking] = ends[end][walking]
-            f[other][walking] = f[end][walking]
-            step = next(steps, None)
-            if step is None:
-                failed[walking] = message
-                break
-            x, level = step
-            ends[end][walking] = x
-            f[end][walking] = level - ts[walking]
-            walking &= wrong * f[end] > 0.0
-    for message in failed:
-        if message is not None:
-            raise BracketFailure(message)
-    return ends["lo"], ends["hi"], f["lo"], f["hi"]
+        ladders.append(ladder)
+    rungs = np.array(ladders[0] + ladders[1])
+    levels = _levels(source, kind, rungs)
+    first, stops, failures = (0, len(ladders[0])), [], []
+    for wrong, at, ladder, (_, _, message) in zip((slope, -slope), first, ladders, ends):
+        extreme = np.maximum.accumulate(-wrong * levels[at : at + len(ladder)])
+        stop = np.searchsorted(extreme, -wrong * ts)
+        failures += [(i, message) for i in np.flatnonzero(stop == len(ladder))[:1]]
+        stops.append(at + stop)  # the end's rung, as an index into `rungs`
+    if failures:  # the first t that fails; none fails at both ends
+        raise BracketFailure(min(failures)[1])
+    lo = np.where(stops[1] > first[1], stops[1] - 1, stops[0])
+    hi = np.where(stops[0] > 0, stops[0] - 1, stops[1])
+    return rungs[lo], rungs[hi], levels[lo] - ts, levels[hi] - ts
 
 
 def _bisect_all(source, kind, ts, lo, hi, flo, fhi) -> np.ndarray:
@@ -187,15 +168,17 @@ def alpha_for_entropy(
     kind = {"positive": "forward_g", "negative": "reverse_r"}.get(branch)
     if kind is None:
         raise InvalidInput(f"unknown branch {branch!r}")
-    return float(_solve(source, kind, np.array([t], dtype=np.float64))[0])
+    return float(_solve(source, kind, np.array([sources._require_real(t, "t")]))[0])
 
 
 def alpha_for_cross_entropy(source: CategoricalSource, t: float) -> float:
     """The (unique) tilt order whose cross entropy against the source equals t."""
-    return float(_solve(source, "information_i", np.array([t], dtype=np.float64))[0])
+    return float(_solve(source, "information_i", np.array([sources._require_real(t, "t")]))[0])
 
 
 def _domain(source: CategoricalSource, kind: str) -> tuple[float, float]:
+    """The open domain of t of a kind's curve, on a valid source."""
+    validate(source)
     if kind in ("forward_g", "reverse_r"):
         return 0.0, math.log(len(source.alphabet))
     rng = cross_entropy_range(source)
@@ -214,7 +197,7 @@ def _endpoint_value(source: CategoricalSource, kind: str, at_lower: bool) -> flo
 
 
 def _rate(source: CategoricalSource, t: float, kind: str) -> float:
-    validate(source)
+    t = sources._require_real(t, "t")
     lo, hi = _domain(source, kind)
     if t < lo - 1e-12 or t > hi + 1e-12:
         raise OutOfRange(f"t={t} outside [{lo}, {hi}]")
@@ -242,7 +225,7 @@ def rate_i(source: CategoricalSource, t: float) -> float:
 
 def rate_derivatives(source: CategoricalSource, t: float, kind: str) -> tuple[float, float]:
     """(dJ/dt, d2J/dt2) of the requested rate curve at an interior point."""
-    validate(source)
+    t = sources._require_real(t, "t")
     lo, hi = _domain(source, kind)
     if not lo < t < hi:
         raise OutOfRange(f"t={t} not interior to ({lo}, {hi})")
@@ -273,9 +256,7 @@ def rate_points(source: CategoricalSource, kind: str, ts) -> RateCurve:
     """
     if kind not in KINDS:
         raise InvalidInput(f"unknown curve kind {kind!r}")
-    ts = np.array(ts, dtype=np.float64)
-    if ts.ndim != 1:
-        raise InvalidInput("ts must be one-dimensional")
+    ts = np.array(sources._require_reals(ts, "ts"))
     _require_grid_budget(source, ts.size)
     alphas = _solve(source, kind, ts)
     rates = np.empty(ts.size)

@@ -211,7 +211,7 @@ def tilt(source: CategoricalSource, alpha: float) -> CategoricalSource:
     """
     if not isinstance(source, CategoricalSource):
         raise TypeError("tilt is defined on categorical sources only")
-    alpha = float(alpha)
+    alpha = _require_real(alpha, "alpha")
     if alpha == 1.0:
         return source
     return CategoricalSource(source.alphabet, _tilted_thetas(source, np.array([alpha]))[0])
@@ -258,7 +258,7 @@ def tilted_family_sample(
     """One tilt per requested order, preserving the order of `alphas`; at most
     the rate grid budget of orders times symbols (BudgetExceeded)."""
     _require_grid_budget(source, len(alphas), "tilt orders")
-    return [tilt(source, float(a)) for a in alphas]
+    return [tilt(source, a) for a in alphas]
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
@@ -318,7 +318,6 @@ class MarkovSource:
     alphabet: Alphabet
     transition: np.ndarray
     initial: np.ndarray
-    initial_mode: str = "explicit"
     log_transition: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -340,7 +339,6 @@ class HiddenMarkovSource:
     transition: np.ndarray  # hidden-state transitions, S x S
     emission: np.ndarray  # states x symbols
     initial: np.ndarray  # hidden-state start distribution
-    initial_mode: str = "explicit"
 
     def __post_init__(self):
         s = len(self.transition)
@@ -467,6 +465,35 @@ def _require_int(value, what: str, low: int, high: float = math.inf) -> None:
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     if not (integer and low <= value < high):
         raise InvalidInput(f"{what} must be an integer in [{low}, {high}), not {value!r}")
+
+
+def _require_real(value, what: str, error: type = InvalidInput) -> float:
+    """The one rule for a real argument: an int, float, numpy integer or
+    numpy float, not a bool, returned as a float; `error` naming `what`
+    otherwise."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise error(f"{what} must be a real number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        raise error(f"{what} must lie within the float range") from None
+
+
+def _require_reals(values, what: str, ndim: int = 1, error: type = InvalidInput) -> np.ndarray:
+    """The one rule for an array of reals: a numpy int or float array, or
+    nested sequences of one shape of `_require_real` entries, with `ndim`
+    dimensions, as float64 (itself if it is a float64 array); `error` naming
+    `what` otherwise.  numpy alone would read strings, and bools among
+    numbers, as numbers."""
+    if not isinstance(values, np.ndarray):  # ragged nesting leaves sequences as entries
+        entries = np.array(values, dtype=object)
+        checked = [_require_real(v, f"each entry of {what}", error) for v in entries.flat]
+        values = np.array(checked, dtype=np.float64).reshape(entries.shape)
+    elif values.dtype.kind not in "iuf":
+        raise error(f"{what} must be an array of ints or floats, not {values.dtype}")
+    if values.ndim != ndim:
+        raise error(f"{what} must be {('one', 'two')[ndim - 1]}-dimensional")
+    return values.astype(np.float64, copy=False)
 
 
 def require_budget(alphabet_size: int, n: int, budget: int) -> None:
@@ -605,35 +632,23 @@ def _type_classes(source: CategoricalSource, n: int) -> tuple[np.ndarray, np.nda
 # ---------------------------------------------------------------------------
 
 def _normalized(values, what: str, ndim: int) -> np.ndarray:
-    """A spec vector (ndim 1) or matrix of rows (ndim 2), renormalized when each
-    row is within ASSUMPTION_TOL of summing to 1; SourceSpecError otherwise.
-    Shapes and entries are left to the source constructors."""
-    pending = [values]
-    while pending:  # every innermost entry, in order
-        entry = pending.pop()
-        if isinstance(entry, (list, tuple)):
-            pending.extend(reversed(entry))
-        elif isinstance(entry, (bool, str)):  # numpy would read them as 0/1 and decimals
-            raise SourceSpecError(f"{what} must be an array of decimals, not {entry!r}")
-    try:
-        rows = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:  # ragged, non-numeric, huge
-        raise SourceSpecError(f"{what} must be an array of decimals: {exc}") from None
-    if rows.ndim != ndim or rows.size == 0:
-        raise SourceSpecError(f"{what} must be a non-empty {ndim}-dimensional array of decimals")
+    """A spec vector (ndim 1) or matrix of rows (ndim 2) of reals, renormalized
+    when each row is within ASSUMPTION_TOL of summing to 1; SourceSpecError
+    otherwise.  Shapes and entries are left to the source constructors."""
+    rows = _require_reals(values, what, ndim, SourceSpecError)
+    if rows.size == 0:
+        raise SourceSpecError(f"{what} must not be empty")
     return rows / _row_sums(rows, what, SourceSpecError)
 
 
 def _chain(cls, spec: dict, alphabet: Alphabet, transition: np.ndarray, *emission):
-    """`cls(alphabet, transition, *emission, initial)` with the spec's start
-    and its mode.  The stationary start (the default) is solved after a build
-    with a uniform stand-in start has checked every shape."""
+    """`cls(alphabet, transition, *emission, initial)` with the spec's start.
+    The stationary start (the default) is solved after a build with a
+    uniform stand-in start has checked every shape."""
     initial = spec.get("initial", "stationary")
     if not (isinstance(initial, str) and initial == "stationary"):
-        initial = _normalized(initial, "initial", 1)
-        return cls(alphabet, transition, *emission, initial, initial_mode="explicit")
-    uniform = np.ones(len(transition)) / len(transition)
-    source = cls(alphabet, transition, *emission, uniform, initial_mode="stationary")
+        return cls(alphabet, transition, *emission, _normalized(initial, "initial", 1))
+    source = cls(alphabet, transition, *emission, np.ones(len(transition)) / len(transition))
     return replace(source, initial=stationary_distribution(source.transition))
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import tiltlab as tl
-from tiltlab import cli
+from tiltlab import cli, sources
 
 import reference_csv as ref
 
@@ -114,7 +114,7 @@ def same_text_as_the_row_writer(groups, block) -> None:
     rows = [row for group in groups for row in zip(*(cells for _, cells in group))]
     expected = written(ref.write_csv, header, rows, META)
     columns = [[column for column, _ in group] for group in groups]
-    with mock.patch.object(cli, "_CSV_BLOCK", block):
+    with mock.patch.object(sources, "_BLOCK", block):
         assert written(cli._write_csv, header, META, *columns) == expected
 
 
@@ -156,7 +156,7 @@ def test_texts_keep_surrogates_nul_and_multibyte_characters():
     others = texts + ["z"]
     group = [(cli._coded_bytes(texts, codes), [texts[c] for c in codes]),
              (cli._coded_bytes(others, np.arange(len(others))), others)]
-    same_text_as_the_row_writer([group], cli._CSV_BLOCK)
+    same_text_as_the_row_writer([group], sources._BLOCK)
 
 
 def test_rank_table_codes_give_the_pmf_and_log_prob_bits():
@@ -182,9 +182,25 @@ def test_mixed_rank_column_keeps_int_and_float_text():
     """Int exact ranks, then float curve ranks, in blocks of two rows: one
     block boundary falls inside the first group and one between the groups."""
     exact, curve = [cli._int_bytes(np.arange(1, 4))], [cli._float_bytes(np.array([3.0, 17.0]))]
-    with mock.patch.object(cli, "_CSV_BLOCK", 2):
+    with mock.patch.object(sources, "_BLOCK", 2):
         got = written(cli._write_csv, ["rank"], META, exact, curve)
     assert got.splitlines()[2:] == ["1", "2", "3", "3.0", "17.0"]
+
+
+def test_rows_are_written_in_blocks_of_the_source_block():
+    """One write for the two head lines, then one per `sources._BLOCK` rows."""
+    class Writes(io.StringIO):
+        calls = 0
+
+        def write(self, text):
+            self.calls += 1
+            return super().write(text)
+
+    out = Writes()
+    with mock.patch.object(sources, "_BLOCK", 2), contextlib.redirect_stdout(out):
+        cli._write_csv(None, ["n"], META, [cli._int_bytes(np.arange(5))])
+    assert out.getvalue().splitlines()[2:] == ["0", "1", "2", "3", "4"]
+    assert out.calls == 1 + 3
 
 
 def test_file_and_stdout_agree(tmp_path):

@@ -1,9 +1,14 @@
-"""The names `from tiltlab import *` exports, pinned, and no private helper
-left behind without a caller in the library."""
+"""The names `from tiltlab import *` exports, pinned; no private helper
+left behind without a caller in the library; and the real rule on every
+float parameter."""
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import tiltlab as tl
+
+from test_real_arguments import REAL_ARGUMENTS, REAL_GRIDS
 
 #: the library's modules; tests, perfbench and scripts are not callers
 MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "tiltlab").glob("*.py"))
@@ -62,3 +67,30 @@ def test_every_private_helper_has_a_library_caller():
                for name in private_definitions(tree) if name not in loaded]
     assert "sources.py" in trees
     assert orphans == []
+
+
+#: dataclasses the library returns: their float fields are outputs, not inputs
+OUTPUTS = (
+    tl.ApproxPoint, tl.BoundCheck, tl.CrossEntropyRange, tl.MeasureBundle,
+    tl.OrderEquivalence, tl.RateCurve, tl.SetReport, tl.WordMeasures,
+)
+
+
+def float_parameters():
+    """(name, parameter) of each public function parameter and input
+    dataclass field whose annotation mentions float."""
+    for name in tl.__all__:
+        obj = getattr(tl, name)
+        if inspect.isfunction(obj):
+            params = [(p.name, p.annotation) for p in inspect.signature(obj).parameters.values()]
+        elif dataclasses.is_dataclass(obj) and obj not in OUTPUTS:
+            params = [(f.name, f.type) for f in dataclasses.fields(obj) if f.init]
+        else:
+            continue
+        yield from ((name, param) for param, annotation in params if "float" in str(annotation))
+
+
+def test_every_float_parameter_has_the_real_rule():
+    collected = set(float_parameters())
+    assert {("tilt", "alpha"), ("TypicalSetSpec", "epsilon"), ("rate_g", "t")} <= collected
+    assert sorted(collected - set(REAL_ARGUMENTS) - set(REAL_GRIDS)) == []

@@ -186,6 +186,46 @@ def test_levels_hit_exactly_at_ladder_points_and_midpoints(s3, alpha):
         assert outcome(lockstep_rows, s3, kind, [t]) == expected
 
 
+#: the rungs of each kind's two ladders
+RUNGS = {
+    "forward_g": [a for a in LADDER if a > 0.0],
+    "reverse_r": [a for a in LADDER if a < 0.0],
+    "information_i": [a for a in LADDER if abs(a) >= 1.0],
+}
+
+
+def seeded_source(seed):
+    """2..11 symbols whose weights span three decades."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 12))
+    weights = 10.0 ** rng.uniform(-3.0, 0.0, k)
+    alphabet = tl.Alphabet(tuple(f"s{i}" for i in range(k)))
+    return tl.CategoricalSource(alphabet, weights / weights.sum())
+
+
+@pytest.mark.parametrize("name", [*SHIPPED, *(f"seeded_{seed}" for seed in range(10))])
+def test_brackets_stop_where_the_walk_stops_at_every_rung_level(name):
+    # a t at a rung's level, or one ulp off it, is where an end's stopping
+    # rung changes; near alpha = 0 the levels are not monotone in floats
+    source = seeded_source(int(name[7:])) if name.startswith("seeded_") else shipped(name)
+    tl.validate(source)
+    for kind in rt.KINDS:
+        lo, hi = rt._domain(source, kind)
+        for level in rt._levels(source, kind, np.array(RUNGS[kind])).tolist():
+            for t in (np.nextafter(level, -math.inf), level, np.nextafter(level, math.inf)):
+                if lo < t < hi:
+                    expected = reference_outcome(reference_rows, source, kind, [float(t)])
+                    assert outcome(lockstep_rows, source, kind, [float(t)]) == expected, (kind, t)
+
+
+def test_one_ulp_below_log_77_keeps_the_walks_root():
+    source = shipped("s77_sample")
+    t = 4.343805421853683
+    assert t == np.nextafter(math.log(77), 0.0)
+    assert rt.rate_points(source, "forward_g", [t]).alpha.tolist() == [6.25e-08]
+    assert ref.reference_points(source, "forward_g", [t])[0][1] == 6.25e-08
+
+
 # top two and bottom two symbols 2e-9 apart: roots near t = 0 and near
 # either end of the cross-entropy range run past the bracket caps
 NEAR_TIES = tl.CategoricalSource(tl.letters(4), [0.1 - 1e-9, 0.1 + 1e-9, 0.4 - 1e-9, 0.4 + 1e-9])

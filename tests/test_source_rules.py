@@ -136,7 +136,7 @@ def test_spec_arrays_are_the_renormalized_rows(s3_markov, s3_hmm):
     assert as_bits(markov.initial) == as_bits(tl.stationary_distribution(markov.transition))
     assert as_bits(s3_hmm.initial) == as_bits(tl.stationary_distribution(s3_hmm.transition))
     for source in (markov, s3_markov, s3_hmm):
-        assert source.initial_mode == "stationary"
+        assert as_bits(source.initial) == as_bits(tl.stationary_distribution(source.transition))
         assert not source.initial.flags.writeable
 
 
@@ -183,3 +183,19 @@ def test_reverse_dual_agrees_with_the_tie_class_loop(name):
             assert verdict == loop_reverse_dual(base, rank_of)
             verdicts.append(verdict)
     assert verdicts[0] and not all(verdicts)
+
+
+def test_chain_sources_take_no_initial_mode():
+    # a start mode the source could not honour was stored as given
+    transition = [[0.9, 0.1], [0.2, 0.8]]
+    chains = (
+        lambda **mode: tl.MarkovSource(tl.letters(2), transition, [1.0, 0.0], **mode),
+        lambda **mode: tl.HiddenMarkovSource(
+            tl.letters(2), transition, np.eye(2), [1.0, 0.0], **mode
+        ),
+    )
+    for build in chains:
+        assert not hasattr(build(), "initial_mode")
+        for mode in ("stationary", "banana"):
+            with pytest.raises(TypeError, match="initial_mode"):
+                build(initial_mode=mode)

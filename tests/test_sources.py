@@ -242,8 +242,7 @@ class TestSpecFiles:
                 "initial": [0.25, 0.75],
             }
         )
-        assert source.initial_mode == "explicit"
-        np.testing.assert_allclose(source.initial, [0.25, 0.75])
+        assert source.initial.tolist() == [0.25, 0.75]
 
     def test_hmm_states_consistency_checked(self):
         with pytest.raises(SourceSpecError):
