@@ -61,12 +61,39 @@ def _rank_order(levels: np.ndarray, level_of: np.ndarray, tie_tol: float) -> np.
     sorted once; each string then gets its level's group as a small integer
     key, and one stable sort on that key leaves every group's strings in
     lexicographic order, which is the tie-break.
+
+    A key of at most 16 bits takes numpy's stable argsort, a radix sort
+    there.  A wider key (more than 65,535 groups) would take a timsort, so
+    each string's group and lexicographic index are packed into one int64,
+    `(group << b) | index` with b = `_index_bits(N)`, sorted by value, and
+    the low b bits read back: the same order by construction.  Past
+    N = 2^31 strings the packed key would not fit, and the stable argsort
+    stays.
     """
     by_level = np.argsort(-levels)  # order among equal levels does not matter
     ids = _tie_group_ids(levels[by_level], tie_tol)
     group = np.empty(levels.size, dtype=ids.dtype)
     group[by_level] = ids
-    return np.argsort(group[level_of], kind="stable")
+    del by_level, ids
+    b = _index_bits(level_of.size)
+    if group.itemsize <= 2 or b is None:
+        return np.argsort(group[level_of], kind="stable")
+    group = group.astype(np.int64)
+    group <<= b
+    packed = group[level_of]
+    del group
+    packed |= np.arange(packed.size, dtype=np.min_scalar_type(packed.size - 1))
+    packed.sort()
+    packed &= (1 << b) - 1
+    return packed
+
+
+def _index_bits(size: int) -> Optional[int]:
+    """Bits b of a lexicographic index below `size` in `_rank_order`'s packed
+    key, or None past size = 2^31.  A group id is at most size <= 2^b, so a
+    key is below 2^b * (2^b + 1), which stays below 2^63 while 2b <= 62."""
+    b = (size - 1).bit_length()
+    return b if 2 * b <= 62 else None
 
 
 def _decode_strings(symbols: tuple[str, ...], n: int, lex_indices: np.ndarray) -> list[str]:
@@ -239,9 +266,9 @@ def build_rank_table(
     Only the levels (`_word_levels`) are sorted and grouped: the
     C(n+k-1, k-1) type classes of an i.i.d. source, the distinct log-prob
     bit patterns of a Markov or hidden Markov one.  Every string's tie-group
-    key is a gather from its level, and one stable sort on that integer key
-    gives the rank order.  The table stores that order alone; `rank_of`, its
-    inverse, is built on first read.
+    key is a gather from its level, and one sort by that integer key, ties
+    in lexicographic order (`_rank_order`), gives the rank order.  The table
+    stores that order alone; `rank_of`, its inverse, is built on first read.
     """
     levels, level_of = _word_levels(source, n, budget)
     order = _rank_order(levels, level_of, TIE_TOL_PER_SYMBOL * n)

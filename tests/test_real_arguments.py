@@ -63,6 +63,11 @@ def test_a_grid_refuses_anything_but_ints_and_floats(s3, key, values):
         REAL_GRIDS[key](s3, values)
 
 
+def test_a_generator_of_tilt_orders_is_invalid_input(s3):
+    with pytest.raises(InvalidInput, match="^each entry of alphas must be a real number, not "):
+        tl.tilted_family_sample(s3, (a for a in [0.5]))
+
+
 def test_ints_and_numpy_reals_are_read_as_their_floats(s3):
     assert tl.tilt(s3, 2).theta.tolist() == tl.tilt(s3, 2.0).theta.tolist()
     assert tl.tilt(s3, np.int8(1)) is s3

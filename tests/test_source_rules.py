@@ -61,7 +61,9 @@ SHAPE_ERRORS = {
     "probs length": (
         lambda a: tl.CategoricalSource(a, [0.2, 0.8]), "probs must have one entry per symbol"
     ),
-    "probs matrix": (lambda a: tl.CategoricalSource(a, [[0.2, 0.3, 0.5]]), r"not \(1, 3\)"),
+    "probs matrix": (
+        lambda a: tl.CategoricalSource(a, [[0.2, 0.3, 0.5]]), "probs must be one-dimensional"
+    ),
     "probs nan": (
         lambda a: tl.CategoricalSource(a, [0.2, np.nan, 0.5]), "probs entries must be finite"
     ),
@@ -93,6 +95,40 @@ SHAPE_ERRORS = {
 def test_constructors_check_every_shape_and_entry(build, message):
     with pytest.raises(SourceSpecError, match=message):
         build(tl.letters(3))
+
+
+#: a constructor call with one of its probability arrays set to `values`
+PROBABILITY_ARRAYS = {
+    "probs": lambda values: tl.CategoricalSource(tl.letters(2), values),
+    "transition": lambda values: tl.MarkovSource(
+        tl.letters(2), [values, [0.1, 0.9]], [0.5, 0.5]
+    ),
+    "initial": lambda values: tl.MarkovSource(tl.letters(2), np.eye(2), values),
+    "emission": lambda values: tl.HiddenMarkovSource(tl.letters(2), [[1.0]], [values], [1.0]),
+}
+
+
+@pytest.mark.parametrize(
+    "values", [["0.2", "0.8"], [True, False], ["0.2", 0.8], np.array([True, False])],
+    ids=["text", "bools", "numeric text", "bool array"],
+)
+@pytest.mark.parametrize("what", sorted(PROBABILITY_ARRAYS))
+def test_constructors_refuse_strings_and_bools_as_probabilities(what, values):
+    with pytest.raises(SourceSpecError, match=f"{what} must be an array|entry of {what}"):
+        PROBABILITY_ARRAYS[what](values)
+
+
+def test_constructors_hold_a_read_only_copy_of_a_float64_array():
+    values = np.array([0.25, 0.75])
+    held = [
+        tl.CategoricalSource(tl.letters(2), values).theta,
+        tl.MarkovSource(tl.letters(2), np.eye(2), values).initial,
+        tl.HiddenMarkovSource(tl.letters(2), np.eye(2), np.eye(2), values).initial,
+    ]
+    for array in held:
+        assert not np.shares_memory(array, values) and not array.flags.writeable
+        assert array.tolist() == [0.25, 0.75]
+    assert values.flags.writeable
 
 
 def test_constructors_reject_rows_off_by_more_than_the_tolerance():
