@@ -238,6 +238,25 @@ def _sibling(path, suffix: str):
     return p.with_name(p.stem + suffix + p.suffix)
 
 
+def _require_writable(args) -> None:
+    """Every file a subcommand writes, its `--out` path and the siblings it
+    names, must be one it can write: a file or new name in a directory that
+    can be written.  Checked before any work, so a bad path leaves no file
+    behind (InvalidInput)."""
+    if args.out is None:
+        return
+    for path in [Path(args.out)] + [_sibling(args.out, s) for s in getattr(args, "siblings", ())]:
+        if not path.parent.is_dir():
+            reason = "its directory does not exist"
+        elif path.is_dir():
+            reason = "it is a directory"
+        elif not os.access(path if path.exists() else path.parent, os.W_OK):
+            reason = "permission denied"
+        else:
+            continue
+        raise InvalidInput(f"cannot write {str(path)!r}: {reason}")
+
+
 def _categorical(source) -> src.CategoricalSource:
     if not isinstance(source, src.CategoricalSource):
         raise SourceSpecError("this subcommand needs a categorical source")
@@ -281,7 +300,7 @@ def _cmd_guesswork(args) -> int:
     table = gw.build_rank_table(source, args.n, _resolve_budget(args))
     meta = _source_meta(args)
     g = np.arange(1, table.size + 1)
-    ranked = table.level_of[table.order]  # log_probs[order] and pmf() as codes
+    ranked = table._ranked_levels()  # log_probs[order] and pmf() as codes
     strings, ranks = _strings_bytes(table, table.order), _int_bytes(g)
     columns = [strings, _coded_bytes(table.levels, ranked), ranks, _int_bytes(g[::-1])]
     _write_csv(args.out, ["string", "logprob_nats", "G", "R"], meta, columns)
@@ -337,7 +356,7 @@ def _cmd_approx(args) -> int:
     branches = _coded_bytes([p.branch for p in points], np.arange(len(points)))
     _write_csv(args.out, ["branch", *fields], meta, [branches, *curve.values()])
     # overlay, long format: the exact staircase (int ranks), then the stitched curve
-    pmf = _coded_bytes(np.exp(table.levels), table.level_of[table.order])
+    pmf = _coded_bytes(np.exp(table.levels), table._ranked_levels())
     exact = [_coded_bytes(["exact"], np.broadcast_to(0, table.size)),
              _int_bytes(np.arange(1, table.size + 1)), pmf]
     stitched = [branches, curve["guesswork_rank"], curve["probability"]]
@@ -390,14 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("guesswork", help="exact rank table and guesswork PMF")
     _add_common(p, needs_n=True)
     p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(func=_cmd_guesswork)
+    p.set_defaults(func=_cmd_guesswork, siblings=("_pmf",))
 
     p = sub.add_parser("typical", help="tilted weakly typical set and bound ledger")
     _add_common(p, needs_n=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(func=_cmd_typical)
+    p.set_defaults(func=_cmd_typical, siblings=("_bounds",))
 
     p = sub.add_parser("rate", help="large-deviation rate curve")
     _add_common(p)
@@ -410,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, needs_n=True)
     p.add_argument("--alpha-grid", default=None, help="grid of tilt orders (both signs)")
     p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(func=_cmd_approx)
+    p.set_defaults(func=_cmd_approx, siblings=("_overlay",))
 
     p = sub.add_parser("verify", help="run the built-in verification suite")
     p.add_argument("--quick", action="store_true", help="reduced grids")
@@ -424,6 +443,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _require_writable(args)
         return args.func(args)
     except CONFIG_ERRORS as exc:
         print(f"tiltlab: config error: {exc}", file=sys.stderr)

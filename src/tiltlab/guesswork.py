@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import sources
-from .errors import InvalidInput, OutOfRange, UnknownString, UnknownSymbol
+from .errors import BudgetExceeded, InvalidInput, OutOfRange, UnknownString, UnknownSymbol
 from .measures import (
     _cross_entropy,
     _cross_varentropy,
@@ -30,7 +30,6 @@ from .sources import (
     CategoricalSource,
     SequenceSource,
     _require_length,
-    _word_levels,
     tilt,
     validate,
 )
@@ -54,46 +53,36 @@ def _tie_group_ids(descending: np.ndarray, tie_tol: float) -> np.ndarray:
 
 
 def _rank_order(levels: np.ndarray, level_of: np.ndarray, tie_tol: float) -> np.ndarray:
-    """Lexicographic string indices sorted by (tie group, lex index).
+    """Lexicographic string indices sorted by (tie group, lex index), as uint32.
 
     `levels` are the log-prob levels and `level_of` maps each string to its
     level; equal levels may repeat.  Tie groups are found on the levels
-    sorted once; each string then gets its level's group as a small integer
-    key, and one stable sort on that key leaves every group's strings in
-    lexicographic order, which is the tie-break.
-
-    A key of at most 16 bits takes numpy's stable argsort, a radix sort
-    there.  A wider key (more than 65,535 groups) would take a timsort, so
-    each string's group and lexicographic index are packed into one int64,
-    `(group << b) | index` with b = `_index_bits(N)`, sorted by value, and
-    the low b bits read back: the same order by construction.  Past
-    N = 2^31 strings the packed key would not fit, and the stable argsort
-    stays.
+    sorted once.  Each string's key packs its level's group id above its
+    lexicographic index, `(group << b) | index` with b = ceil(log2 N), in
+    uint32 when the group ids fit the 32 - b bits left and in uint64
+    otherwise; sorting the keys by value and masking off the groups leaves
+    every group's strings in lexicographic order, which is the tie-break.
+    The keys are gathered `sources._BLOCK` strings at a time, so no
+    string-sized intp array is made.  `build_rank_table` holds N to 2^31,
+    so b <= 31 and the indices fit uint32.
     """
     by_level = np.argsort(-levels)  # order among equal levels does not matter
     ids = _tie_group_ids(levels[by_level], tie_tol)
-    group = np.empty(levels.size, dtype=ids.dtype)
+    b = (level_of.size - 1).bit_length()
+    key_type = np.uint32 if b + int(ids[-1]).bit_length() <= 32 else np.uint64
+    group = np.empty(levels.size, dtype=key_type)
     group[by_level] = ids
     del by_level, ids
-    b = _index_bits(level_of.size)
-    if group.itemsize <= 2 or b is None:
-        return np.argsort(group[level_of], kind="stable")
-    group = group.astype(np.int64)
     group <<= b
-    packed = group[level_of]
+    key = np.empty(level_of.size, dtype=key_type)
+    for start in range(0, key.size, sources._BLOCK):
+        block = key[start : start + sources._BLOCK]
+        np.take(group, level_of[start : start + block.size], out=block)
+        block |= np.arange(start, start + block.size, dtype=key_type)
     del group
-    packed |= np.arange(packed.size, dtype=np.min_scalar_type(packed.size - 1))
-    packed.sort()
-    packed &= (1 << b) - 1
-    return packed
-
-
-def _index_bits(size: int) -> Optional[int]:
-    """Bits b of a lexicographic index below `size` in `_rank_order`'s packed
-    key, or None past size = 2^31.  A group id is at most size <= 2^b, so a
-    key is below 2^b * (2^b + 1), which stays below 2^63 while 2b <= 62."""
-    b = (size - 1).bit_length()
-    return b if 2 * b <= 62 else None
+    key.sort()
+    key &= (1 << b) - 1
+    return key.astype(np.uint32, copy=False)
 
 
 def _decode_strings(symbols: tuple[str, ...], n: int, lex_indices: np.ndarray) -> list[str]:
@@ -134,18 +123,18 @@ class RankTable:
     (lexicographic tie-break); R = |alphabet|^n + 1 - G, so the least likely
     string has R = 1 and log R stays finite.
 
-    The table stores its rank order once, as `order`, and its log-prob
-    levels: `level_of` maps each lexicographic string index to its level in
-    `levels`.  The per-string views are built on first read: `rank_of`
-    inverts `order`, and `log_probs` is `levels[level_of]` bit for bit.  An
-    i.i.d. table's levels are its type classes' log-probs (two classes may
-    share a value); a Markov or hidden Markov table's are the distinct bit
-    patterns of its strings' log-probs.
+    The table stores its rank order once, as `order` (uint32, 4 B per
+    string), and its log-prob levels: `level_of` maps each lexicographic
+    string index to its level in `levels`.  The per-string views are built
+    on first read: `rank_of` inverts `order`, and `log_probs` is
+    `levels[level_of]` bit for bit.  An i.i.d. table's levels are its type
+    classes' log-probs (two classes may share a value); a Markov or hidden
+    Markov table's are the distinct bit patterns of its strings' log-probs.
     """
 
     source: SequenceSource
     n: int
-    order: np.ndarray  # rank - 1  -> lexicographic string index
+    order: np.ndarray  # rank - 1  -> lexicographic string index, uint32
     levels: np.ndarray  # log-prob per level (per type class for an i.i.d. table)
     level_of: np.ndarray  # lexicographic string index -> level
 
@@ -159,7 +148,8 @@ class RankTable:
         `sources._BLOCK` ranks at a time on first read, read-only."""
         rank_of = np.empty(self.size, dtype=np.int64)
         for start in range(0, self.size, sources._BLOCK):
-            block = self.order[start : start + sources._BLOCK]
+            # numpy scatters by an intp index faster than by the uint32 order
+            block = self.order[start : start + sources._BLOCK].astype(np.intp)
             rank_of[block] = np.arange(start + 1, start + block.size + 1)
         return _read_only(rank_of)[0]
 
@@ -197,6 +187,16 @@ class RankTable:
     def log_reverse_guesswork(self, x) -> float:
         return math.log(self.reverse_guesswork(x))
 
+    def _ranked_levels(self) -> np.ndarray:
+        """`level_of[order]`, the level at each rank, gathered `sources._BLOCK`
+        ranks at a time: numpy casts an index array to intp before it
+        gathers, so one whole gather would hold an 8-byte copy of `order`."""
+        ranked = np.empty(self.size, dtype=self.level_of.dtype)
+        for start in range(0, self.size, sources._BLOCK):
+            stop = start + sources._BLOCK
+            np.take(self.level_of, self.order[start:stop], out=ranked[start:stop])
+        return ranked
+
     def pmf(self) -> np.ndarray:
         """Probability at each rank; pmf()[r - 1] is the rank-r probability."""
         run_levels, run_lengths, _ = self._level_runs
@@ -208,7 +208,7 @@ class RankTable:
         levels in rank order, walked once on first use, read-only, in the
         smallest types (a table can hold as many runs as strings); a level's
         strings lie in several runs where near-tied levels interleave."""
-        ranked = self.level_of[self.order]
+        ranked = self._ranked_levels()
         starts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
         run_levels = ranked[np.r_[0, starts]]
         lengths = np.diff(starts, prepend=0, append=self.size)
@@ -269,8 +269,14 @@ def build_rank_table(
     key is a gather from its level, and one sort by that integer key, ties
     in lexicographic order (`_rank_order`), gives the rank order.  The table
     stores that order alone; `rank_of`, its inverse, is built on first read.
+    A table holds at most 2^31 strings, whatever the budget, so its order
+    is uint32 (BudgetExceeded before anything is enumerated).
     """
-    levels, level_of = _word_levels(source, n, budget)
+    k = len(source.alphabet)
+    sources.require_budget(k, n, budget)
+    if k**n > 1 << 31:
+        raise BudgetExceeded(f"{k}^{n} strings exceed 2^31, the most a rank table holds")
+    levels, level_of = sources._word_levels(source, n, budget)
     order = _rank_order(levels, level_of, TIE_TOL_PER_SYMBOL * n)
     _read_only(order, levels, level_of)
     return RankTable(source=source, n=n, order=order, levels=levels, level_of=level_of)

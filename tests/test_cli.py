@@ -270,6 +270,55 @@ def test_a_huge_n_is_rejected_without_building_k_to_the_n(capsys):
     )
 
 
+#: one run of each subcommand, all but its --out
+SUBCOMMANDS = {
+    "tilt": ("tilt", "--source", S3_PATH, "--alpha-grid", "1,2"),
+    "measures": ("measures", "--source", S3_PATH, "--n", "2"),
+    "guesswork": ("guesswork", "--source", S3_PATH, "--n", "3"),
+    "typical": ("typical", "--source", S3_PATH, "--n", "4", "--alpha", "2", "--epsilon", "0.2"),
+    "rate": ("rate", "--source", S3_PATH, "--kind", "g"),
+    "approx": ("approx", "--source", S3_PATH, "--n", "4"),
+    "verify": ("verify", "--quick"),
+}
+
+
+@pytest.fixture()
+def no_work(monkeypatch):
+    """Every subcommand starts its work by loading its source or running the
+    suite; either fails the test."""
+    def work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr("tiltlab.sources.load_source", work)
+    monkeypatch.setattr("tiltlab.verify.run_all", work)
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS.values(), ids=SUBCOMMANDS.keys())
+def test_an_out_path_in_a_missing_directory_exits_2_before_any_work(
+    tmp_path, capsys, no_work, argv
+):
+    out = tmp_path / "missing" / "out.csv"
+    assert run(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"tiltlab: config error: cannot write {str(out)!r}: its directory does not exist\n"
+    )
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name, suffix", [("guesswork", "_pmf"), ("typical", "_bounds"),
+                                          ("approx", "_overlay")])
+def test_a_sibling_that_cannot_be_written_exits_2_and_writes_nothing(
+    tmp_path, capsys, no_work, name, suffix
+):
+    sibling = tmp_path / f"out{suffix}.csv"
+    sibling.mkdir()
+    assert run(*SUBCOMMANDS[name], "--out", str(tmp_path / "out.csv")) == 2
+    assert capsys.readouterr().err == (
+        f"tiltlab: config error: cannot write {str(sibling)!r}: it is a directory\n"
+    )
+    assert list(tmp_path.iterdir()) == [sibling]
+
+
 class TestTypicalCommand:
     def test_members_and_bounds(self, tmp_path, s3_path):
         out = tmp_path / "typ.csv"

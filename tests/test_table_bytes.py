@@ -4,8 +4,9 @@ The Markov and hidden-Markov enumerations run in prefix blocks; their words
 must have the old recursions' bits whatever the block height (and, for the
 hidden chain, the BLAS thread count), and one word runs no block driver.  A chain table's level index is built from one
 sort of the enumerated bits and must equal `np.unique`'s.  The build's
-tracemalloc peak per string is bounded, and `tie_groups()` takes the smallest
-unsigned integer type that holds the number of groups.
+tracemalloc peak per string and the bytes a table holds per string are
+bounded, and `tie_groups()` takes the smallest unsigned integer type that
+holds the number of groups.
 """
 import hashlib
 import itertools
@@ -45,8 +46,15 @@ THREADED_BLOCKS = ("7k", 4096, sources._BLOCK)
 CHAIN_BUILD_BYTES_PER_STRING = 30
 
 #: the same for `s2` at n = 20: 25 B with an N-sized `arange` for `rank_of`
-#: and int64 tie groups in the build, 17.5 B without
-S2_BUILD_BYTES_PER_STRING = 20
+#: and int64 tie groups in the build, 17.5 B without, 10 B with an int64
+#: order, 5.75 B with a uint32 order sorted in place (4 B the order, 1 B
+#: `level_of`, and one block's gather temporaries)
+S2_BUILD_BYTES_PER_STRING = 6.5
+
+#: bytes per string a built table holds in `order`, `levels` and `level_of`:
+#: a 4-byte order, a 1-byte `level_of` and 21 levels for `s2` at n = 20
+#: (9 B with an int64 order); `s3_hmm` at n = 13 holds 8.38 B (12.38 B)
+HELD_BYTES_PER_STRING = {("s2", 20): 5.01, ("s3_hmm", 13): 8.5}
 
 #: tracemalloc peak per word allowed to the s3_hmm enumeration at n = 13:
 #: 48 B with the last level whole, 12.2 B in a depth-first block stack,
@@ -231,6 +239,13 @@ def build_peak_per_string(source, n):
 )
 def test_build_peak_per_string(name, n, bound):
     assert build_peak_per_string(shipped(name), n) < bound
+
+
+@pytest.mark.parametrize("name, n", HELD_BYTES_PER_STRING)
+def test_held_bytes_per_string(name, n):
+    table = tl.build_rank_table(shipped(name), n)
+    held = table.order.nbytes + table.levels.nbytes + table.level_of.nbytes
+    assert held / table.size <= HELD_BYTES_PER_STRING[name, n]
 
 
 @pytest.mark.parametrize(

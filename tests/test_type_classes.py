@@ -26,7 +26,7 @@ def assert_matches_reference(source, n):
     np.testing.assert_array_equal(table.rank_of, rank_of)
     np.testing.assert_array_equal(table.tie_groups(), groups)
     np.testing.assert_array_equal(table.pmf().view(np.int64), np.exp(logp[order]).view(np.int64))
-    assert table.order.dtype == order.dtype and table.rank_of.dtype == rank_of.dtype
+    assert table.order.dtype == np.uint32 and table.rank_of.dtype == rank_of.dtype
     return table
 
 
