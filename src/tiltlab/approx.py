@@ -28,6 +28,7 @@ from .sources import (
     CategoricalSource,
     SequenceSource,
     _require_grid_budget,
+    _require_int,
     _require_length,
     _require_real,
     _require_reals,
@@ -79,7 +80,8 @@ def approx_guesswork(
 
     The forward branch returns the rank estimate directly.  The reverse
     branch interprets it as a reverse rank R and returns the guesswork
-    |alphabet|^n + 1 - R, which needs the alphabet size.
+    |alphabet|^n + 1 - R, which needs the alphabet size: an integer >= 2,
+    with the measures' n an integer >= 1 (InvalidInput).
     """
     r = approx_rank(measures.entropy, measures.varentropy)
     if branch == "forward":
@@ -87,6 +89,8 @@ def approx_guesswork(
     if branch == "reverse":
         if alphabet_size is None:
             raise InvalidInput("reverse branch needs alphabet_size")
+        _require_int(alphabet_size, "alphabet_size", 2)
+        _require_length(measures.n)
         _string_count(alphabet_size, measures.n)  # raises before a huge exact k^n is built
         return alphabet_size**measures.n + 1 - r
     raise InvalidInput(f"unknown branch {branch!r}")

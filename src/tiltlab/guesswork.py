@@ -216,20 +216,6 @@ class RankTable:
         groups = _tie_group_ids(self.levels[run_levels], TIE_TOL_PER_SYMBOL * self.n)
         return _read_only(run_levels, lengths, groups)
 
-    @cached_property
-    def _level_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """First rank G, last rank G and size of every level: the start of its
-        first run, the end of its last run and the sum of its run lengths.
-        Built once per table, on first use, for every ledger query."""
-        run_levels, run_lengths, _ = self._level_runs
-        ends = np.cumsum(run_lengths, dtype=np.int64)
-        first = np.full(self.levels.size, self.size, dtype=np.int64)
-        last, sizes = np.zeros_like(first), np.zeros_like(first)
-        np.minimum.at(first, run_levels, ends - run_lengths + 1)
-        np.maximum.at(last, run_levels, ends)
-        np.add.at(sizes, run_levels, run_lengths)
-        return _read_only(first, last, sizes)
-
     def records(self) -> Iterator[tuple[str, float, int, int]]:
         """(string, log-prob, G, R) rows in rank order, `sources._BLOCK` at a time."""
         size = self.size
@@ -276,7 +262,7 @@ def build_rank_table(
     sources.require_budget(k, n, budget)
     if k**n > 1 << 31:
         raise BudgetExceeded(f"{k}^{n} strings exceed 2^31, the most a rank table holds")
-    levels, level_of = sources._word_levels(source, n, budget)
+    levels, level_of = sources._word_levels(source, n)
     order = _rank_order(levels, level_of, TIE_TOL_PER_SYMBOL * n)
     _read_only(order, levels, level_of)
     return RankTable(source=source, n=n, order=order, levels=levels, level_of=level_of)
@@ -448,24 +434,23 @@ def _strings_of(logp: np.ndarray, levels: np.ndarray, chosen: np.ndarray):
 
 
 def _least_tilted_half(
-    a_idx: np.ndarray, a_class_of: np.ndarray, a_classes: np.ndarray, a_sizes: np.ndarray,
+    a_idx: np.ndarray, a_class_of: np.ndarray, run_tilted: np.ndarray, run_lengths: np.ndarray,
     tilted: np.ndarray,
 ) -> np.ndarray:
     """The floor(|A|/2) members of A least likely under the tilt, ties at the
     boundary tilted level broken lexicographically, in ascending order.
 
-    A's classes are sorted by tilted level and counted by their sizes
-    `a_sizes`: every class strictly below the level of the half-th string is
-    taken whole, and the strings of the classes at that level (several
-    classes may share it) are taken in lexicographic order until the half is
-    full.
+    A's runs of equal levels in rank order are sorted by their tilted levels
+    `run_tilted` and counted by their lengths: the boundary is the tilted
+    level of the half-th string.  Every class strictly below it is taken
+    whole, and the strings of the classes at that level (several classes may
+    share it) are taken in lexicographic order until the half is full.
     """
     half = a_idx.size // 2
     if half == 0:
         return a_idx[:0]
-    a_tilted = tilted[a_classes]
-    by_tilted = np.argsort(a_tilted)
-    boundary = a_tilted[by_tilted[np.searchsorted(np.cumsum(a_sizes[by_tilted]), half)]]
+    by_tilted = np.argsort(run_tilted)
+    boundary = run_tilted[by_tilted[np.searchsorted(np.cumsum(run_lengths[by_tilted]), half)]]
     in_b = (tilted < boundary).take(a_class_of)
     at_boundary = np.flatnonzero((tilted == boundary).take(a_class_of))
     in_b[at_boundary[: half - np.count_nonzero(in_b)]] = True
@@ -481,7 +466,9 @@ def typical_set(
     """Build the typical set of the requested order and evaluate its bounds;
     an upper threshold beyond the float range is inf, so its bounds pass.
     A given `table` must fit the query (`_require_table_for`).  B and the
-    rank bounds read each class's ranks and size from its level runs."""
+    rank bounds read the table's runs of equal levels in rank order: a run
+    holds the ranks up to the sum of the lengths so far, and a class's span
+    of ranks is the span of its runs."""
     validate(source)
     n, alpha, eps = spec.n, spec.alpha, spec.epsilon
     _require_table_for(source, n, table)
@@ -507,8 +494,11 @@ def typical_set(
     d_classes = tilted > -h_tilt - tilted_width
     e_classes = tilted < -h_tilt + tilted_width
     a_idx = np.flatnonzero(_strings_of(logp, levels, a_classes))
-    first, last, sizes = table._level_spans
-    b_idx = _least_tilted_half(a_idx, level_of.take(a_idx), a_classes, sizes[a_classes], tilted)
+    run_levels, run_lengths, _ = table._level_runs
+    a_runs = a_classes[run_levels]
+    b_idx = _least_tilted_half(
+        a_idx, level_of.take(a_idx), tilted[run_levels[a_runs]], run_lengths[a_runs], tilted
+    )
 
     prob_a = _set_prob(logp, a_idx)
     prob_d = _set_prob(logp, _strings_of(logp, levels, d_classes))
@@ -552,20 +542,23 @@ def typical_set(
         ]
 
     # rank implications: forward rank for positive orders, reverse for negative;
-    # the ranks of each class run from `first` to `last`
+    # each run holds the ranks `first` to `last`
+    last = np.cumsum(run_lengths, dtype=np.int64)
+    first = last - run_lengths + 1
     b_rank = table.rank_of[b_idx]
     if alpha > 0:
         tag = "guesswork"
     else:
         tag, b_rank = "reverse_guesswork", table.size + 1 - b_rank
         first, last = table.size + 1 - last, table.size + 1 - first
+    d_runs, e_runs = d_classes[run_levels], e_classes[run_levels]
     checks += [
         _bound_over(f"median_{tag}_lower", b_rank, operator.gt, 0.5 * size_lo, weak),
-        _bound_over(f"inner_{tag}_upper", last[d_classes], operator.le, size_hi),
+        _bound_over(f"inner_{tag}_upper", last[d_runs], operator.le, size_hi),
         # contrapositive of "rank below threshold puts the string in the inner set"
-        _bound_over(f"small_{tag}_in_inner", first[~d_classes], operator.gt, size_lo, weak),
+        _bound_over(f"small_{tag}_in_inner", first[~d_runs], operator.gt, size_lo, weak),
         # contrapositive of "rank above threshold puts the string in the outer set"
-        _bound_over(f"large_{tag}_in_outer", last[~e_classes], operator.le, size_hi),
+        _bound_over(f"large_{tag}_in_outer", last[~e_runs], operator.le, size_hi),
     ]
 
     return SetReport(
@@ -623,8 +616,11 @@ def order_equivalent(
     function of log theta with positive slope; the least-squares fit of that
     slope and its max residual decide.  Rank tables for n <= n_max are then
     compared as a cross-check, and the first disagreement (if any) is
-    returned as a witness pair.
+    returned as a witness pair.  Both sources must be categorical
+    (TypeError) and n_max an integer >= 1 (InvalidInput).
     """
+    sources._require_categorical("order_equivalent", mu, rho)
+    sources._require_int(n_max, "n_max", 1)
     _require_same_alphabet(mu, rho)
     x = mu.log_theta
     y = rho.log_theta

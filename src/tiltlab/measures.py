@@ -18,6 +18,7 @@ from .numeric import log_sum_exp
 from .sources import (
     CategoricalSource,
     SequenceSource,
+    _require_categorical,
     _require_real,
     _tilted_thetas,
     string_log_prob,
@@ -65,6 +66,7 @@ def relative_entropy(rho: CategoricalSource, mu: CategoricalSource, n: int = 1) 
 
 def _on_support(rho: CategoricalSource, mu: CategoricalSource):
     """rho's probabilities, rho's log-probs and mu's log-probs where rho > 0."""
+    _require_categorical("an information measure", rho, mu)
     _require_same_alphabet(rho, mu)
     support = rho.theta > 0
     return rho.theta[support], rho.log_theta[support], mu.log_theta[support]
@@ -121,6 +123,7 @@ def renyi_entropy(mu: CategoricalSource, alpha: float, n: int = 1) -> float:
     (1-alpha), and the storage-level deviation of sum(theta) from 1 would
     otherwise surface as a spurious pole.
     """
+    _require_categorical("renyi_entropy", mu)
     alpha = _require_real(alpha, "alpha")
     if not math.isfinite(alpha):
         raise InvalidInput(f"tilt order {alpha} must be finite")

@@ -187,8 +187,7 @@ def validate(source: CategoricalSource) -> None:
     * TieViolation       -- the argmin or argmax of `theta` is not unique
                             (duplicates detected with the same 1e-12 floor).
     """
-    if not isinstance(source, CategoricalSource):
-        raise TypeError("validate applies to categorical sources only")
+    _require_categorical("validate", source)
     theta = source.theta
     _row_sums(theta, "probs")
     if float(np.min(theta)) <= ASSUMPTION_TOL:
@@ -209,8 +208,7 @@ def tilt(source: CategoricalSource, alpha: float) -> CategoricalSource:
     alpha=0 returns the uniform source, alpha=-1 reverses the likelihood
     order of the symbols.
     """
-    if not isinstance(source, CategoricalSource):
-        raise TypeError("tilt is defined on categorical sources only")
+    _require_categorical("tilt", source)
     alpha = _require_real(alpha, "alpha")
     if alpha == 1.0:
         return source
@@ -473,6 +471,13 @@ def _require_length(n: int) -> None:
         raise InvalidInput("n must be >= 1")
 
 
+def _require_categorical(what: str, *given: SequenceSource) -> None:
+    """The one rule for the sources of an i.i.d.-only function `what`:
+    TypeError unless each is a CategoricalSource."""
+    if not all(isinstance(source, CategoricalSource) for source in given):
+        raise TypeError(f"{what} applies to categorical sources only")
+
+
 def _require_int(value, what: str, low: int, high: float = math.inf) -> None:
     """The one rule for an integer argument: an int or numpy integer, not a
     bool, in [low, high); InvalidInput naming `what` otherwise."""
@@ -537,21 +542,21 @@ def enumerate_word_log_probs(
     """Log-probability of every length-n string, in lexicographic order.
 
     For i.i.d. sources the value is gathered from the string's type class
-    log-prob (`_word_levels`), so strings with equal symbol counts get
+    log-prob (`_type_classes`), so strings with equal symbol counts get
     bit-identical values (that is what makes probability ties exact).  Markov
     strings extend prefix log-probs one transition at a time (`_markov_forward`);
     hidden Markov strings carry a scaled forward vector per prefix
     (`_hmm_forward`); both run in prefix blocks (`_chain_words`).
     `string_log_prob` runs the same rules on one string.
     """
-    if isinstance(source, CategoricalSource):
-        levels, level_of = _word_levels(source, n, budget)
-        return levels[level_of]
     require_budget(len(source.alphabet), n, budget)
+    if isinstance(source, CategoricalSource):
+        levels, level_of = _type_classes(source, n)
+        return levels[level_of]
     return _chain_words(source, n)
 
 
-def _word_levels(source: SequenceSource, n: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
+def _word_levels(source: SequenceSource, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(levels, level_of) of all length-n strings: `levels[level_of]` is
     `enumerate_word_log_probs` bit for bit.
 
@@ -560,12 +565,11 @@ def _word_levels(source: SequenceSource, n: int, budget: int) -> tuple[np.ndarra
     (hidden) Markov sources, the distinct bit patterns of the enumerated
     log-probs, ascending as int64, and each word's level is the number of
     runs of equal bits before its own in the sorted bits.  `level_of` takes
-    the smallest integer type.
+    the smallest integer type.  The caller checks the budget.
     """
     if isinstance(source, CategoricalSource):
-        require_budget(len(source.alphabet), n, budget)
         return _type_classes(source, n)
-    bits = enumerate_word_log_probs(source, n, budget).view(np.int64)
+    bits = _chain_words(source, n).view(np.int64)
     perm = np.argsort(bits)  # any sort: equal bits share a level whatever their order
     bits = bits[perm]
     starts = np.empty(bits.size, dtype=bool)

@@ -48,6 +48,28 @@ def categorical_sources(draw, min_size=2, max_size=6):
     return source
 
 
+@st.composite
+def geometric_sources(draw, drop=True):
+    """theta proportional to r^j, each weight nudged by at most a few hundred
+    ulps (or not at all) and, with `drop`, some set to 0.
+
+    Classes with equal sums of symbol positions then have levels that are
+    equal or a few ulps apart, so their strings tie and interleave in
+    lexicographic order, and a class's strings lie in several runs of equal
+    levels in rank order; a zero weight gives -inf levels.  Without `drop`
+    every source passes `validate`.
+    """
+    k = draw(st.integers(2, 5))
+    r = draw(st.floats(0.2, 0.95))
+    nudge = st.sampled_from((0.0, 1e-16, -3e-16, 2e-15, -5e-14))
+    weights = np.array([r**j * (1.0 + draw(nudge)) for j in range(k)])
+    if drop:
+        dropped = draw(st.lists(st.integers(0, k - 1), max_size=k - 1, unique=True))
+        weights[dropped] = 0.0
+    order = draw(st.permutations(range(k)))
+    return tl.CategoricalSource(tl.letters(k), weights[order] / weights.sum())
+
+
 def _stochastic(rng, rows, cols):
     """A row-stochastic matrix with about a third of its entries zero."""
     m = rng.random((rows, cols)) * (rng.random((rows, cols)) > 0.35)

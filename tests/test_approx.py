@@ -6,7 +6,7 @@ import pytest
 
 import tiltlab as tl
 from tiltlab.approx import _tilted_word_stats
-from tiltlab.errors import DegenerateVariance, NegativeVariance, OutOfRange
+from tiltlab.errors import DegenerateVariance, InvalidInput, NegativeVariance, OutOfRange
 from tiltlab.numeric import log_sum_exp
 
 # frozen: closed-form rank at the untilted level of the binary source, n=8
@@ -60,6 +60,20 @@ class TestApproxGuesswork:
     def test_unknown_branch(self, s2):
         with pytest.raises(ValueError):
             tl.approx_guesswork(tl.word_measures(s2, 4), "sideways")
+
+    @pytest.mark.parametrize("alphabet_size", [True, 1.5, -3, 1, 2.0, "2"])
+    def test_reverse_alphabet_size_is_an_integer_of_at_least_two(self, alphabet_size):
+        with pytest.raises(InvalidInput, match="alphabet_size must be an integer"):
+            tl.approx_guesswork(tl.WordMeasures(2, 1.0, 1.0), "reverse", alphabet_size)
+
+    @pytest.mark.parametrize("n", [2.5, 0, -1, True])
+    def test_reverse_length_is_an_integer_of_at_least_one(self, n):
+        with pytest.raises(InvalidInput, match="n must be"):
+            tl.approx_guesswork(tl.WordMeasures(n, 1.0, 1.0), "reverse", 2)
+
+    def test_reverse_takes_numpy_integers(self):
+        got = tl.approx_guesswork(tl.WordMeasures(np.int64(3), 1.0, 1.0), "reverse", np.int8(2))
+        assert got == 2**3 + 1 - tl.approx_rank(1.0, 1.0)
 
     def test_reverse_string_count_beyond_the_float_range(self):
         with pytest.raises(OutOfRange, match=r"2\^1100 strings exceed the float range"):

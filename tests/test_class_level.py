@@ -20,33 +20,12 @@ from tiltlab.errors import TiltlabError
 from tiltlab.guesswork import TIE_TOL_PER_SYMBOL, _tie_group_ids
 
 import reference_ledger as ref
-from conftest import random_hmm, random_markov
+from conftest import geometric_sources, random_hmm, random_markov
 from reference_rank_table import reference_rank_table, reference_tie_groups
 from test_ledger_oracle import check_against_reference, report_key
 
 #: largest table a drawn source builds
 MAX_STRINGS = 5000
-
-
-@st.composite
-def geometric_sources(draw):
-    """theta proportional to r^j, each weight nudged by at most a few hundred
-    ulps (or not at all) and some set to 0.
-
-    Classes with equal sums of symbol positions then have levels that are
-    equal or a few ulps apart, so their strings tie and interleave in
-    lexicographic order; a zero weight gives -inf levels.
-    """
-    k = draw(st.integers(2, 5))
-    r = draw(st.floats(0.2, 0.95))
-    nudge = st.sampled_from((0.0, 1e-16, -3e-16, 2e-15, -5e-14))
-    weights = np.array([r**j * (1.0 + draw(nudge)) for j in range(k)])
-    dropped = draw(st.lists(st.integers(0, k - 1), max_size=k - 1, unique=True))
-    weights[dropped] = 0.0
-    order = draw(st.permutations(range(k)))
-    theta = weights[order] / weights.sum()
-    n = draw(st.integers(1, int(math.log(MAX_STRINGS) / math.log(k))))
-    return tl.CategoricalSource(tl.letters(k), theta), n
 
 
 def assert_class_readers_match_strings(table):
@@ -82,9 +61,9 @@ def interleaved_classes(table):
 
 
 @settings(max_examples=150, deadline=None)
-@given(geometric_sources())
-def test_tie_groups_and_pmf_match_the_per_string_rules(drawn):
-    source, n = drawn
+@given(geometric_sources(), st.data())
+def test_tie_groups_and_pmf_match_the_per_string_rules(source, data):
+    n = data.draw(st.integers(1, int(math.log(MAX_STRINGS) / math.log(len(source.alphabet)))))
     assert_class_readers_match_strings(tl.build_rank_table(source, n))
 
 
@@ -229,7 +208,7 @@ def test_ledger_reports_hold_no_d_or_e_members(s3):
     # the 15 reports of the s3 n=12 ledger held 116.8 MB while every report
     # kept its D and E members; A and B members alone take about 34 MB
     table = tl.build_rank_table(s3, 12)
-    table.log_probs, table._level_spans  # the table's own arrays stay out of the count
+    table.log_probs, table._level_runs  # the table's own arrays stay out of the count
     specs = [tl.TypicalSetSpec(alpha=alpha, epsilon=eps, n=12) for alpha, eps in LEDGER_SPECS]
     tracemalloc.start()
     try:

@@ -328,6 +328,16 @@ class TestOrderEquivalence:
         assert (ta.guesswork(x) < ta.guesswork(y)) != (tb.guesswork(x) < tb.guesswork(y))
 
 
+    @pytest.mark.parametrize("n_max", [2.5, True, 0, -3, "4"])
+    def test_n_max_is_an_integer_of_at_least_one(self, s2, n_max):
+        with pytest.raises(InvalidInput, match="n_max must be an integer"):
+            tl.order_equivalent(s2, tl.tilt(s2, 2.0), n_max=n_max)
+
+    def test_n_max_takes_numpy_integers(self, s2):
+        res = tl.order_equivalent(s2, tl.reverse(s2), n_max=np.int64(2))
+        assert res.witness is not None and res.witness[0] == 1
+
+
 def rank_of_witness(mu, rho, n_max):
     """The witness rule on `rank_of`: among the strings whose ranks differ,
     the one mu ranks first, and the string rho puts at that rank."""

@@ -1,60 +1,32 @@
-"""The per-level first rank, last rank and size the typical-set ledger reads.
+"""The run walk that every level reader of a rank table shares.
 
-`RankTable._level_spans` takes them from the runs of equal levels in rank
-order, once per table; the run walk (`_level_runs`) is cached too, read-only
-and in the smallest types, and `pmf()` and `tie_groups()` read it.  Per string, a level's first and last rank are the least and the
-greatest rank of the strings at that level, and its size is their count;
-the drawn geometric sources give near-tied levels whose strings interleave,
-and -inf levels.
+`RankTable._level_runs` walks the runs of equal levels in rank order once
+per table, read-only and in the smallest types; `pmf()`, `tie_groups()` and
+the typical-set ledger read it.  The ledger takes a class's span of ranks
+and its size from its runs, which `tests/test_ledger_oracle.py` checks bit
+for bit against the per-string reference ledger, on near-tied classes whose
+strings interleave over several runs too.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
 
 import tiltlab as tl
-from test_class_level import geometric_sources
 
 
-def assert_spans_match_strings(table):
-    first, last, sizes = table._level_spans
-    assert first.dtype == last.dtype == sizes.dtype == np.int64
-    for level in range(table.levels.size):
-        ranks = table.rank_of[table.level_of == level]
-        assert (first[level], last[level], sizes[level]) == (ranks.min(), ranks.max(), ranks.size)
-
-
-@pytest.mark.parametrize(
-    "name, n_max",
-    [("s2", 10), ("s3", 7), ("s77_sample", 2), ("s3_markov", 5), ("s3_hmm", 5)],
-)
-def test_shipped_tables(name, n_max):
-    source = tl.load_source(tl.builtin_spec_path(name))
-    for n in range(1, n_max + 1):
-        assert_spans_match_strings(tl.build_rank_table(source, n))
-
-
-@settings(max_examples=150, deadline=None)
-@given(geometric_sources())
-def test_near_tied_interleaved_and_infinite_levels(drawn):
-    source, n = drawn
-    assert_spans_match_strings(tl.build_rank_table(source, n))
-
-
-
-def test_spans_are_walked_once_per_table(s3):
+def test_ledger_queries_walk_the_runs_once_per_table(s3):
     table = tl.build_rank_table(s3, 6)
-    spans = table._level_spans
+    runs = table._level_runs
     for alpha in (1.0, 0.5, -1.0):
         tl.typical_set(s3, tl.TypicalSetSpec(alpha, 0.1, 6), table=table)
-    assert table._level_spans is spans
-    assert not any(arr.flags.writeable for arr in spans)
+    assert table._level_runs is runs
+    assert not any(arr.flags.writeable for arr in runs)
 
 
 @pytest.mark.parametrize("name, n", [("s2", 10), ("s3", 7), ("s77_sample", 2), ("s3_hmm", 8)])
 def test_runs_are_walked_once_read_only_in_the_smallest_types(name, n):
     table = tl.build_rank_table(tl.load_source(tl.builtin_spec_path(name)), n)
     runs = table._level_runs
-    table.pmf(), table.tie_groups(), table._level_spans
+    table.pmf(), table.tie_groups()
     assert table._level_runs is runs
     run_levels, lengths, groups = runs
     assert not any(arr.flags.writeable for arr in runs)

@@ -1,7 +1,8 @@
 """Each source rule in one place: the shared hidden-Markov forward recursion
 against the two it replaced, bit for bit; `log_theta` built with the source;
 the constructors' shape checks; the typical-set rules of `approx_set_size`;
-and the one-`lexsort` reverse-duality check against a per-tie-class loop."""
+the one-`lexsort` reverse-duality check against a per-tie-class loop; and the
+TypeError every i.i.d.-only function gives a chain source."""
 import itertools
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import tiltlab as tl
 from tiltlab import guesswork as gw
+from tiltlab import measures as ms
 from tiltlab import verify
 from tiltlab.errors import NotNormalized, SourceSpecError
 
@@ -235,3 +237,34 @@ def test_chain_sources_take_no_initial_mode():
         for mode in ("stationary", "banana"):
             with pytest.raises(TypeError, match="initial_mode"):
                 build(initial_mode=mode)
+
+
+#: the i.i.d.-only functions, each called with a chain source `c` in every
+#: source position and the categorical `s3` in the others
+CATEGORICAL_ONLY = {
+    "validate": lambda c, s3: [lambda: tl.validate(c)],
+    "tilt": lambda c, s3: [lambda: tl.tilt(c, 2.0)],
+    "entropy": lambda c, s3: [lambda: ms.entropy(c, 2)],
+    "varentropy": lambda c, s3: [lambda: ms.varentropy(c, 2)],
+    "cross_entropy": lambda c, s3: [
+        lambda: ms.cross_entropy(c, s3), lambda: ms.cross_entropy(s3, c)],
+    "cross_varentropy": lambda c, s3: [
+        lambda: ms.cross_varentropy(c, s3), lambda: ms.cross_varentropy(s3, c)],
+    "relative_entropy": lambda c, s3: [
+        lambda: ms.relative_entropy(c, s3), lambda: ms.relative_entropy(s3, c)],
+    "measure_bundle": lambda c, s3: [
+        lambda: ms.measure_bundle(c, s3, 2), lambda: ms.measure_bundle(s3, c, 2)],
+    "renyi_entropy": lambda c, s3: [
+        lambda: ms.renyi_entropy(c, 0.5), lambda: ms.renyi_entropy(c, 1.0 + 1e-6),
+        lambda: ms.renyi_entropy(c, 1.0)],
+    "order_equivalent": lambda c, s3: [
+        lambda: tl.order_equivalent(c, s3), lambda: tl.order_equivalent(s3, c)],
+}
+
+
+@pytest.mark.parametrize("chain", ["s3_markov", "s3_hmm"])
+@pytest.mark.parametrize("calls", CATEGORICAL_ONLY.values(), ids=CATEGORICAL_ONLY.keys())
+def test_i_i_d_only_functions_refuse_chain_sources_with_type_error(calls, chain, s3, request):
+    for call in calls(request.getfixturevalue(chain), s3):
+        with pytest.raises(TypeError, match="applies to categorical sources only"):
+            call()

@@ -21,7 +21,7 @@ import pytest
 
 import tiltlab as tl
 from tiltlab import sources
-from tiltlab.sources import DEFAULT_BUDGET, _word_levels
+from tiltlab.sources import _word_levels
 
 from conftest import random_hmm, random_markov
 from reference_sources import (
@@ -210,7 +210,7 @@ def test_chain_level_index_matches_np_unique(make, arg, n_max):
     source = make(arg)
     infinite = False
     for n in range(1, n_max + 1):
-        levels, level_of = _word_levels(source, n, DEFAULT_BUDGET)
+        levels, level_of = _word_levels(source, n)
         logp = tl.enumerate_word_log_probs(source, n)
         want_levels, want_level_of = reference_word_levels(logp)
         np.testing.assert_array_equal(bits(levels), bits(want_levels))

@@ -49,7 +49,7 @@ def bits(values):
 def test_word_levels_give_the_enumerated_bits(name, n_max):
     source = tl.load_source(tl.builtin_spec_path(name))
     for n in range(1, n_max + 1):
-        levels, level_of = _word_levels(source, n, DEFAULT_BUDGET)
+        levels, level_of = _word_levels(source, n)
         enumerated = bits(tl.enumerate_word_log_probs(source, n))
         np.testing.assert_array_equal(bits(levels[level_of]), enumerated)
 
@@ -70,7 +70,7 @@ VIEWED = [(shipped, name, n) for name, n in SHIPPED] + [
 def test_log_probs_are_gathered_from_the_levels_on_first_read(make, arg, n):
     source = make(arg)
     table = tl.build_rank_table(source, n)
-    table.pmf(), table.tie_groups(), table._level_spans  # readers of the levels alone
+    table.pmf(), table.tie_groups()  # readers of the levels alone
     assert "log_probs" not in vars(table)
     log_probs = table.log_probs
     assert not log_probs.flags.writeable
@@ -84,7 +84,7 @@ def test_log_probs_are_gathered_from_the_levels_on_first_read(make, arg, n):
 def test_rank_of_is_inverted_from_the_order_on_first_read(make, arg, n):
     source = make(arg)
     table = tl.build_rank_table(source, n)
-    table.pmf(), table.tie_groups(), table._level_spans  # readers of the order alone
+    table.pmf(), table.tie_groups()  # readers of the order alone
     assert "rank_of" not in vars(table)
     rank_of = table.rank_of
     assert rank_of.dtype == np.int64 and not rank_of.flags.writeable
