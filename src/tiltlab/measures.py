@@ -1,7 +1,8 @@
 """Information measures of categorical string-sources, all in nats.
 
 Every measure is computed once at the per-symbol level and scaled by the
-string length n, which is exact for i.i.d. sources.  Cross measures follow
+string length n, which is exact for i.i.d. sources; n is an integer >= 1
+(`sources._require_length`, InvalidInput otherwise).  Cross measures follow
 the convention cross_entropy(rho, mu) = expectation under rho of -log mu;
 callers comparing against texts that write the arguments the other way
 around must swap them.
@@ -19,6 +20,7 @@ from .sources import (
     CategoricalSource,
     SequenceSource,
     _require_categorical,
+    _require_length,
     _require_real,
     _tilted_thetas,
     string_log_prob,
@@ -38,29 +40,34 @@ def information(source: SequenceSource, x) -> float:
 def entropy(source: CategoricalSource, n: int = 1) -> float:
     """n times the per-symbol Shannon entropy: the source's cross entropy
     against itself."""
+    _require_length(n)
     return n * cross_entropy(source, source)
 
 
 def varentropy(source: CategoricalSource, n: int = 1) -> float:
     """n times the per-symbol variance of -log theta: the source's cross
     varentropy against itself."""
+    _require_length(n)
     return n * cross_varentropy(source, source)
 
 
 def cross_entropy(rho: CategoricalSource, mu: CategoricalSource, n: int = 1) -> float:
     """n times the expectation under rho of -log mu."""
+    _require_length(n)
     p, _, lq = _on_support(rho, mu)
     return float(_cross_entropy(p, lq, n))
 
 
 def cross_varentropy(rho: CategoricalSource, mu: CategoricalSource, n: int = 1) -> float:
     """n times the variance under rho of -log mu."""
+    _require_length(n)
     p, _, lq = _on_support(rho, mu)
     return float(_cross_varentropy(p, lq, n))
 
 
 def relative_entropy(rho: CategoricalSource, mu: CategoricalSource, n: int = 1) -> float:
     """n times the KL divergence of rho from mu; zero iff the vectors agree."""
+    _require_length(n)
     return float(_relative_entropy(*_on_support(rho, mu), n))
 
 
@@ -124,6 +131,7 @@ def renyi_entropy(mu: CategoricalSource, alpha: float, n: int = 1) -> float:
     otherwise surface as a spurious pole.
     """
     _require_categorical("renyi_entropy", mu)
+    _require_length(n)
     alpha = _require_real(alpha, "alpha")
     if not math.isfinite(alpha):
         raise InvalidInput(f"tilt order {alpha} must be finite")
@@ -163,6 +171,7 @@ class MeasureBundle:
 
 def measure_bundle(rho: CategoricalSource, mu: CategoricalSource, n: int) -> MeasureBundle:
     """Entropy and varentropy of rho plus its cross measures against mu."""
+    _require_length(n)
     return MeasureBundle(
         n=n,
         entropy=entropy(rho, n),

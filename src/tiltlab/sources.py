@@ -438,28 +438,144 @@ def _hmm_forward(source: HiddenMarkovSource, levels, start=None, carry=False):
     return logp, prior
 
 
-#: strings per block: chain words below a prefix, rank table ranks or rows
+#: entries per block: candidate rows per call of a chain level, gathered
+#: word entries, rank table ranks or rows
 _BLOCK = 1 << 16
 
 
-def _chain_words(source: Union[MarkovSource, HiddenMarkovSource], n: int) -> np.ndarray:
-    """The log-prob of every length-n word of a chain, in lexicographic order.
-    The first `head` levels run for all k^head prefixes at once: the fewest,
-    at most n - 1, that leave each prefix at most `_BLOCK` words (if 0, one
-    run does all).  Then each prefix runs the rest from its log-prob and
-    state, and its block is copied into its slice of the output, so the
-    blocks keep every bit and only one block's temporaries are alive at a
-    time."""
+def _state_table(source: Union[MarkovSource, HiddenMarkovSource], n: int):
+    """(logp, words) of the length-n words of a chain: `logp` holds the
+    log-probs of the last level's candidates, and `words(values)` gathers,
+    from an array indexed as logp is, each word's entry in lexicographic
+    order (`words(logp)` is `enumerate_word_log_probs`).
+
+    A prefix's state is its (log-prob bits, state bits) pair: the state is a
+    Markov prefix's last symbol and a hidden one's propagated state vector.
+    Prefixes with the same pair have the same extensions, bit for bit, so each
+    level extends only the distinct states of the level before (`_extend`)
+    and groups its candidates into distinct states (`_distinct`).  Each
+    prefix's state id is carried by a gather chain: `ids` holds the ids of
+    one level's prefixes (None: each prefix is its own id), `pending` maps
+    them to a later level's ids, and the candidates of the state with id g
+    are rows g * span to g * span + span - 1.  A level whose candidates are
+    all distinct needs no gather, only a wider span.  The last map is
+    gathered with the values, block by block, so no k^(n-1) ids are held.
+    """
+    k = len(source.alphabet)
+    logp, state = _extend(source, None, n > 1)
+    ids, pending, span = None, [], k
+    for level in range(2, n + 1):
+        group, *table = _distinct(logp, state)
+        del logp, state
+        if group is not None:
+            if pending:
+                ids = _gather(ids, *pending)
+            pending, span = [group.reshape(-1, span)], 1
+        span *= k
+        del group
+        logp, state = _extend(source, table, level < n)
+        del table  # a level's states are freed before the next level's grouping
+    return logp, lambda values: _gather(ids, *pending, values.reshape(-1, span))
+
+
+def _extend(source, table, carry: bool):
+    """(logp, state) of the candidates of the next level: each distinct
+    state of `table` (a (logp, state) pair, or None for the empty prefix)
+    extended by each symbol, in that order, one call of the level loop per
+    block of at most `_BLOCK` candidate rows, each block written into its
+    slice.  A candidate's state is its symbol in a Markov chain and its
+    propagated state vector in a hidden one; without `carry` (the last
+    level) it is None."""
     forward, k = _forward(source), len(source.alphabet)
-    head = next((h for h in range(n - 1) if k ** (n - h) <= _BLOCK), n - 1)
-    if head == 0:
-        return forward(source, [slice(None)] * n)[0]
-    logp, state = forward(source, [slice(None)] * head, carry=True)
-    out = np.empty(k**n)
-    for p, block in enumerate(out.reshape(logp.size, -1)):
-        start = (logp[p : p + 1], state[p % len(state)][None])
-        block[:] = forward(source, [slice(None)] * (n - head), start)[0]
-    return out
+    markov = isinstance(source, MarkovSource)
+    states = 1 if table is None else table[0].size
+    logp, state = np.empty(states * k), None
+    if carry:
+        state = np.tile(np.arange(k), states) if markov else np.empty((states * k, source.n_states))
+    step = max(1, _BLOCK // k)
+    for lo in range(0, states, step):
+        hi = min(lo + step, states)
+        start = None
+        if table is not None:
+            rows = source.log_transition[table[1][lo:hi]] if markov else table[1][lo:hi]
+            start = (table[0][lo:hi], rows)
+        logp[lo * k : hi * k], vectors = forward(source, [slice(None)], start, carry)
+        if carry and not markov:
+            state[lo * k : hi * k] = vectors
+    return logp, state
+
+
+def _mix(logp: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each candidate's (log-prob bits, state bits)."""
+    mixed = np.zeros(logp.size, dtype=np.uint64)
+    for column in [logp, *state.reshape(logp.size, -1).T]:
+        mixed ^= column.view(np.uint64)
+        mixed *= np.uint64(0x9E3779B97F4A7C15)
+        mixed ^= mixed >> np.uint64(29)
+    return mixed
+
+
+def _distinct(logp: np.ndarray, state: np.ndarray):
+    """(group, logp, state) of a level's candidates: the distinct (log-prob
+    bits, state bits) pairs, and the id among them of each candidate; group
+    is None, and the candidates are returned as they are, when all are
+    distinct: one sort of the log-prob bits finds that.  Otherwise
+    candidates are grouped by their `_mix` hashes (`_runs`), and each is
+    checked equal to one member of its group, bit for bit; if one is not
+    (two pairs share a hash), `np.unique` groups the level."""
+    bits = np.sort(logp.view(np.int64))
+    if np.count_nonzero(bits[1:] == bits[:-1]) == 0:  # distinct bits, distinct pairs
+        return None, logp, state
+    del bits
+    hashes, group = _runs(_mix(logp, state))
+    firsts = np.empty(hashes.size, dtype=np.intp)  # one member of each group
+    firsts[group] = np.arange(logp.size)
+    del hashes
+    pairs = [logp.view(np.int64), state.view(np.int64)]
+    if all(np.array_equal(column[lo : lo + _BLOCK], column[firsts[group[lo : lo + _BLOCK]]])
+           for column in pairs for lo in range(0, logp.size, _BLOCK)):
+        return group, logp[firsts], state[firsts]
+    rows = np.column_stack([pairs[0], pairs[1].reshape(logp.size, -1)])
+    rows, group = np.unique(rows, axis=0, return_inverse=True)
+    logp = rows[:, 0].copy().view(np.float64)
+    state = rows[:, 1:].copy().view(state.dtype).reshape((-1,) + state.shape[1:])
+    return group.reshape(-1).astype(np.min_scalar_type(len(rows) - 1)), logp, state
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, ids): the distinct entries of `keys` ascending, and each
+    entry's index among them, in the smallest integer type, by one sort."""
+    perm = np.argsort(keys)  # any sort: equal keys share a run whatever their order
+    ordered = keys[perm]
+    starts = np.empty(keys.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    distinct = ordered[starts]
+    del ordered
+    starts[0] = False  # a run's index counts the runs that start before it
+    ids = np.empty(keys.size, dtype=np.min_scalar_type(distinct.size - 1))
+    ids[perm] = np.cumsum(starts, dtype=ids.dtype)
+    return distinct, ids
+
+
+def _gather(ids, *tables) -> np.ndarray:
+    """The entries reached from `ids` through `tables` in turn, flattened:
+    each table's rows are indexed by the entries of the step before, the
+    first table's by `ids`, or in their own order where ids is None."""
+    if ids is None:
+        ids, tables = tables[0].reshape(-1), tables[1:]
+    if not tables:
+        return ids
+    width = math.prod(table.shape[1] for table in tables)
+    out = np.empty((ids.size, width), dtype=tables[-1].dtype)
+    step = max(1, _BLOCK // width)  # so numpy's intp copies of the indices stay a block's
+    for lo in range(0, ids.size, step):
+        at = ids[lo : lo + step]
+        for table in tables[:-1]:
+            at = table.take(at, axis=0, mode="clip").reshape(-1)
+        last = out[lo : lo + step].reshape(at.size, -1)
+        np.take(tables[-1], at, axis=0, out=last, mode="clip")
+    return out.reshape(-1)
 
 
 def _require_length(n: int) -> None:
@@ -546,14 +662,17 @@ def enumerate_word_log_probs(
     bit-identical values (that is what makes probability ties exact).  Markov
     strings extend prefix log-probs one transition at a time (`_markov_forward`);
     hidden Markov strings carry a scaled forward vector per prefix
-    (`_hmm_forward`); both run in prefix blocks (`_chain_words`).
+    (`_hmm_forward`).  Both run on a state table (`_state_table`): each level
+    extends only the distinct (log-prob, state) pairs of the level before,
+    and each word's log-prob is gathered from its last-level candidate.
     `string_log_prob` runs the same rules on one string.
     """
     require_budget(len(source.alphabet), n, budget)
     if isinstance(source, CategoricalSource):
         levels, level_of = _type_classes(source, n)
         return levels[level_of]
-    return _chain_words(source, n)
+    logp, words = _state_table(source, n)
+    return words(logp)
 
 
 def _word_levels(source: SequenceSource, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -563,24 +682,18 @@ def _word_levels(source: SequenceSource, n: int) -> tuple[np.ndarray, np.ndarray
     For i.i.d. sources the levels are the type classes' log-probs (0.0, then
     += count * log theta in alphabet order, skipping zero counts); for
     (hidden) Markov sources, the distinct bit patterns of the enumerated
-    log-probs, ascending as int64, and each word's level is the number of
-    runs of equal bits before its own in the sorted bits.  `level_of` takes
-    the smallest integer type.  The caller checks the budget.
+    log-probs, ascending as int64.  They are found by one sort of the
+    state table's last-level candidates (`_state_table`), never of all k^n
+    words, and each word's level is gathered from its candidate's.
+    `level_of` takes the smallest integer type.  The caller checks the
+    budget.
     """
     if isinstance(source, CategoricalSource):
         return _type_classes(source, n)
-    bits = _chain_words(source, n).view(np.int64)
-    perm = np.argsort(bits)  # any sort: equal bits share a level whatever their order
-    bits = bits[perm]
-    starts = np.empty(bits.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    levels = bits[starts].view(np.float64)
-    del bits
-    starts[0] = False  # a run's index counts the runs that start before it
-    level_of = np.empty(starts.size, dtype=np.min_scalar_type(levels.size - 1))
-    level_of[perm] = np.cumsum(starts, dtype=level_of.dtype)
-    return levels, level_of
+    logp, words = _state_table(source, n)
+    bits, level_of = _runs(logp.view(np.int64))
+    del logp
+    return bits.view(np.float64), words(level_of)
 
 
 def _type_classes(source: CategoricalSource, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -98,3 +98,12 @@ def random_markov(seed):
         _stochastic(rng, k, k),
         _stochastic(rng, 1, k)[0],
     )
+
+
+def all_distinct_hmm():
+    """A 3-state hidden chain over 3 symbols, every entry at least 0.01,
+    whose words up to n = 12 all have distinct log-probs: no two prefixes
+    share a state."""
+    rng = np.random.default_rng(11)
+    rows = lambda: rng.dirichlet(np.ones(3), 3) * 0.97 + 0.01  # noqa: E731
+    return tl.HiddenMarkovSource(tl.letters(3), rows(), rows(), np.ones(3) / 3)

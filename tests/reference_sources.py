@@ -2,12 +2,13 @@
 
 `reference_markov_word_log_probs` is the Markov enumeration before prefix
 blocks: every length-n word in lexicographic order, one whole level at a
-time.  The block driver must give the same floats, bit for bit.
+time.  The state table must give the same floats, bit for bit.
 
 The two hidden-Markov forward recursions are the ones `sources._hmm_forward`
 replaced.  `reference_hmm_word_log_probs` is the old enumeration branch: every
 length-n word in lexicographic order, one scaled forward vector per prefix,
-with the first level written out before the loop.  `reference_hmm_log_prob`
+with the first level written out before the loop; `reference_hmm_prefixes`
+also returns those vectors.  `reference_hmm_log_prob`
 is the old per-string recursion over a 1-D forward vector, which returns
 -inf as soon as a prefix has probability 0.  The shared recursion must give
 the same floats, bit for bit.
@@ -36,6 +37,12 @@ def reference_markov_word_log_probs(source, n):
 
 def reference_hmm_word_log_probs(source, n):
     """Log-prob of every length-n word of a hidden Markov source."""
+    return reference_hmm_prefixes(source, n)[0]
+
+
+def reference_hmm_prefixes(source, n):
+    """(log-probs, normalized forward vectors) of every length-n word of a
+    hidden Markov source."""
     k = len(source.alphabet)
     emission_t = source.emission.T  # (symbols, states)
     forward = source.initial[None, :] * emission_t
@@ -54,7 +61,7 @@ def reference_hmm_word_log_probs(source, n):
         with np.errstate(divide="ignore"):
             logp = logp + np.where(scale > 0, np.log(safe), -np.inf)
         forward = forward / safe[:, None]
-    return logp
+    return logp, forward
 
 
 def reference_hmm_log_prob(source, x):

@@ -19,7 +19,7 @@ from tiltlab import guesswork as gw
 from tiltlab import sources
 from tiltlab.errors import BudgetExceeded
 
-from conftest import _stochastic
+from conftest import _stochastic, all_distinct_hmm
 from reference_rank_table import reference_rank_order, reference_rank_table
 from reference_sources import (
     reference_hmm_log_prob,
@@ -125,9 +125,7 @@ def test_every_key_width_sorts_as_the_stable_argsort(n_levels, extra, key_bits):
 
 
 def test_a_hidden_chain_with_all_words_distinct_keeps_the_reference_table():
-    rng = np.random.default_rng(11)
-    rows = lambda: rng.dirichlet(np.ones(3), 3) * 0.97 + 0.01  # noqa: E731
-    source = tl.HiddenMarkovSource(tl.letters(3), rows(), rows(), np.ones(3) / 3)
+    source = all_distinct_hmm()
     n = 11
     table = gw.build_rank_table(source, n)
     logp, order, _, tie_groups = reference_rank_table(source, n)

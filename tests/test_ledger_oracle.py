@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import tiltlab as tl
 from tiltlab import cli
-from tiltlab.numeric import _exp_or_inf
+from tiltlab.measures import _cross_entropy, _on_support
+from tiltlab.numeric import _exp_or_inf, log_sum_exp
 
 import reference_ledger as ref
 from conftest import categorical_sources, geometric_sources
@@ -169,3 +170,56 @@ def test_cli_typical_prints_inf_thresholds(capsys):
     assert code == 0
     assert captured.err == ""
     assert "set_size_upper,729,inf,pass" in captured.out.splitlines()
+
+
+def split_threshold(source, table, alpha, which):
+    """(eps, mates): a width that puts the D (or E) threshold, computed as
+    `typical_set` computes it, strictly between the tilted levels of two
+    levels of one tie group whose strings interleave in rank order (the
+    group has more runs than levels), and the levels of that group."""
+    n = table.n
+    p, lp, _ = _on_support(tl.tilt(source, alpha), source)
+    h_tilt = float(_cross_entropy(p, lp, n))
+    tilted = alpha * table.levels - n * log_sum_exp(alpha * source.log_theta)
+    sign = -1.0 if which == "D" else 1.0  # D's threshold lies below -h_tilt, E's above
+    run_levels, _, run_groups = table._level_runs
+    for group in np.unique(run_groups).tolist():
+        mates = np.unique(run_levels[run_groups == group])
+        if np.count_nonzero(run_groups == group) <= mates.size:
+            continue  # its strings do not interleave
+        ordered = np.unique(tilted[mates])
+        for lo, hi in zip(ordered[:-1].tolist(), ordered[1:].tolist()):
+            eps = sign * ((lo + hi) / 2 + h_tilt) / (abs(alpha) * n)
+            for _ in range(64):
+                if not eps > 0:
+                    break
+                threshold = -h_tilt + sign * (abs(alpha) * n * eps)
+                if lo < threshold < hi:
+                    return eps, mates
+                eps = np.nextafter(eps, sign * (math.inf if threshold <= lo else -math.inf))
+    raise AssertionError(f"no tie group of interleaved strings is split by {which}")
+
+
+#: (weights, n, alpha, set) of the queries whose D or E threshold falls
+#: between the levels of a tie group whose strings interleave: weights
+#: 1 : r : r^2, one nudged, make classes of equal position sums a few ulps apart
+SPLIT_GROUPS = {
+    "D, forward ranks": ((1.0, 0.5 * (1 + 2e-15), 0.25), 6, 2.0, "D"),
+    "E, forward ranks": ((1.0, 0.5 * (1 + 2e-15), 0.25), 6, 0.5, "E"),
+    "D, reverse ranks": ((1.0, 0.4 * (1 - 3e-15), 0.16), 6, -1.5, "D"),
+    "E, reverse ranks": ((1.0, 0.4 * (1 - 3e-15), 0.16), 6, -0.5, "E"),
+}
+
+
+@pytest.mark.parametrize("case", SPLIT_GROUPS.values(), ids=SPLIT_GROUPS.keys())
+def test_a_threshold_inside_a_tie_group_matches_reference_bits(case):
+    """The rank bounds take each string's run of equal levels, not its tie
+    group: a class's span of ranks differs from its group's exactly where a
+    threshold splits a group whose strings interleave."""
+    weights, n, alpha, which = case
+    source = tl.CategoricalSource(tl.letters(3), np.array(weights) / sum(weights))
+    table = tl.build_rank_table(source, n)
+    eps, mates = split_threshold(source, table, alpha, which)
+    report = check_against_reference(source, tl.TypicalSetSpec(alpha, eps, n), table)
+    inside = (report.d_classes if which == "D" else report.e_classes)[mates]
+    assert inside.any() and not inside.all()

@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tiltlab as tl
-from tiltlab.errors import AlphabetMismatch
+from tiltlab.errors import AlphabetMismatch, InvalidInput
 
 from conftest import categorical_sources
 
@@ -158,3 +159,35 @@ class TestTiltLimits:
     def test_entropy_collapses_at_extreme_orders(self, s3):
         assert tl.entropy(tl.tilt(s3, 200.0)) < 1e-3
         assert tl.entropy(tl.tilt(s3, -200.0)) < 1e-3
+
+
+S3 = tl.load_source(tl.builtin_spec_path("s3"))
+
+#: every information measure that scales by a string length, called at n
+LENGTH_MEASURES = {
+    "entropy": lambda n: tl.entropy(S3, n),
+    "varentropy": lambda n: tl.varentropy(S3, n),
+    "cross_entropy": lambda n: tl.cross_entropy(S3, S3, n),
+    "cross_varentropy": lambda n: tl.cross_varentropy(S3, S3, n),
+    "relative_entropy": lambda n: tl.relative_entropy(S3, S3, n),
+    "renyi_entropy": lambda n: tl.renyi_entropy(S3, 0.5, n),
+    "measure_bundle": lambda n: tl.measure_bundle(S3, S3, n),
+}
+
+
+@pytest.mark.parametrize("measure", LENGTH_MEASURES.values(), ids=LENGTH_MEASURES.keys())
+@pytest.mark.parametrize(
+    "n, message",
+    [(2.5, "n must be an integer"), (True, "n must be an integer"), ("2", "n must be an integer"),
+     (0, "n must be >= 1"), (-3, "n must be >= 1")],
+    ids=["2.5", "True", "str", "0", "-3"],
+)
+def test_a_length_must_be_an_integer_of_at_least_1(measure, n, message):
+    with pytest.raises(InvalidInput, match=message):
+        measure(n)
+
+
+@pytest.mark.parametrize("measure", LENGTH_MEASURES.values(), ids=LENGTH_MEASURES.keys())
+def test_numpy_integer_lengths_are_taken(measure):
+    got, want = measure(np.int64(3)), measure(3)
+    assert got == want

@@ -36,7 +36,7 @@ def sources_with_zeros(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(sources_with_zeros(), st.floats(0.01, 20.0), st.booleans(), st.integers(0, 10**6))
+@given(sources_with_zeros(), st.floats(0.01, 20.0), st.booleans(), st.integers(1, 10**6))
 def test_moments_match_reference_bits(source, magnitude, negate, n):
     # negative orders need full support
     alpha = -magnitude if negate and np.all(source.theta > 0) else magnitude

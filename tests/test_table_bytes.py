@@ -1,12 +1,15 @@
 """Rank tables in few bytes per string, with every bit kept.
 
-The Markov and hidden-Markov enumerations run in prefix blocks; their words
-must have the old recursions' bits whatever the block height (and, for the
-hidden chain, the BLAS thread count), and one word runs no block driver.  A chain table's level index is built from one
-sort of the enumerated bits and must equal `np.unique`'s.  The build's
-tracemalloc peak per string and the bytes a table holds per string are
-bounded, and `tie_groups()` takes the smallest unsigned integer type that
-holds the number of groups.
+The Markov and hidden-Markov enumerations run on a state table: each level
+extends the distinct (log-prob bits, state) pairs of the level before, in
+blocks of candidate rows.  Their words must have the old recursions' bits
+whatever the block height (and, for the hidden chain, the BLAS thread
+count), also when every hash of a pair collides, and one word runs no state
+table.  A chain table's level index is built from one sort of the last
+level's distinct candidates and must equal `np.unique`'s.  The build's and
+the enumeration's tracemalloc peaks per string and the bytes a table holds
+per string are bounded, and `tie_groups()` takes the smallest unsigned
+integer type that holds the number of groups.
 """
 import hashlib
 import itertools
@@ -23,8 +26,9 @@ import tiltlab as tl
 from tiltlab import sources
 from tiltlab.sources import _word_levels
 
-from conftest import random_hmm, random_markov
+from conftest import all_distinct_hmm, random_hmm, random_markov
 from reference_sources import (
+    reference_hmm_prefixes,
     reference_hmm_word_log_probs,
     reference_markov_word_log_probs,
     reference_word_levels,
@@ -42,8 +46,9 @@ BLOCKS = (1, None, "7k", 4096)
 THREADED_BLOCKS = ("7k", 4096, sources._BLOCK)
 
 #: tracemalloc peak per string allowed to a chain build at n = 12; the
-#: `np.unique` level index peaked at 49 B, one sort of the bits at 24 B
-CHAIN_BUILD_BYTES_PER_STRING = 30
+#: `np.unique` level index peaked at 49 B, one sort of all k^n bits at 24 B,
+#: the state table at 7.6 B (`s3_markov`) and 14.5 B (`s3_hmm`)
+CHAIN_BUILD_BYTES_PER_STRING = 16
 
 #: the same for `s2` at n = 20: 25 B with an N-sized `arange` for `rank_of`
 #: and int64 tie groups in the build, 17.5 B without, 10 B with an int64
@@ -58,11 +63,17 @@ HELD_BYTES_PER_STRING = {("s2", 20): 5.01, ("s3_hmm", 13): 8.5}
 
 #: tracemalloc peak per word allowed to the s3_hmm enumeration at n = 13:
 #: 48 B with the last level whole, 12.2 B in a depth-first block stack,
-#: 9.3 B in prefix blocks written into the output
+#: 9.3 B in prefix blocks written into the output, 9.7 B on the state table
 HMM_BLOCK_PEAK_BYTES_PER_WORD = 10.5
 
-#: the same for s3_markov: 10.75 B whole levels, 8.2 B in prefix blocks
+#: the same for s3_markov: 10.75 B whole levels, 8.5 B in prefix blocks,
+#: 8.6 B on the state table
 MARKOV_BLOCK_PEAK_BYTES_PER_WORD = 9
+
+#: the same for a 3-state hidden chain whose 3^12 words are all distinct, at
+#: n = 12: 13.0 B in prefix blocks, 27.1 B on the state table, which holds
+#: the 3^11 states of the level before the last and one block's temporaries
+ALL_DISTINCT_PEAK_BYTES_PER_WORD = 28.5
 
 
 def bits(values):
@@ -151,6 +162,12 @@ def test_markov_block_enumeration_peak_per_word(s3_markov):
     assert enumeration_peak_per_word(s3_markov, 13) < MARKOV_BLOCK_PEAK_BYTES_PER_WORD
 
 
+def test_all_distinct_hmm_enumeration_peak_per_word():
+    source = all_distinct_hmm()
+    assert tl.build_rank_table(source, 12).levels.size == 3**12
+    assert enumeration_peak_per_word(source, 12) < ALL_DISTINCT_PEAK_BYTES_PER_WORD
+
+
 #: (chain, its level loop, its oracle) of the block-edge checks
 EDGES = [
     ("s3_markov", "_markov_forward", reference_markov_word_log_probs),
@@ -158,43 +175,102 @@ EDGES = [
 ]
 
 
+def distinct_prefix_states(source, j):
+    """The number of distinct (log-prob bits, state bits) pairs of the
+    length-j prefixes, by `np.unique` over the reference recursions: a
+    Markov prefix's state is its last symbol, a hidden one's its propagated
+    state vector."""
+    if isinstance(source, tl.MarkovSource):
+        logp = reference_markov_word_log_probs(source, j)
+        state = (np.arange(logp.size) % len(source.alphabet))[:, None]
+    else:
+        logp, forward = reference_hmm_prefixes(source, j)
+        state = bits(forward @ source.transition)
+    return len(np.unique(np.column_stack([bits(logp), state]), axis=0))
+
+
 @pytest.mark.parametrize("name, loop, reference", EDGES, ids=[name for name, _, _ in EDGES])
 def test_block_edges(name, loop, reference, monkeypatch):
-    """k^n words in exactly one block run as one call from the empty prefix;
-    one level more runs a one-level head and one call per prefix; n = 1 is
-    one call whatever the block."""
+    """Level 1 is one call from the empty prefix; each later level runs the
+    distinct (bits, state) pairs of the level before, in calls of at most
+    `_BLOCK` candidate rows (one state where `_BLOCK` < k); n = 1 is the one
+    call whatever the block."""
     source, calls = shipped(name), []
     run = getattr(sources, loop)
 
     def spy(source, levels, start=None, *args, **kwargs):
-        calls.append((len(levels), start is None))
+        calls.append((len(levels), None if start is None else start[0].size))
         return run(source, levels, start, *args, **kwargs)
 
     monkeypatch.setattr(sources, loop, spy)
-    k, n = len(source.alphabet), 5
-    for block, length, want in [
-        (k**n, n, [(n, True)]),
-        (k**n, n + 1, [(1, True)] + [(n, False)] * k),
-        (1, 1, [(1, True)]),
-    ]:
+    k, n = len(source.alphabet), 7
+    distinct = [distinct_prefix_states(source, j) for j in range(1, n)]
+    assert distinct[-1] < k ** (n - 1)  # prefixes share states
+    for block in (1, k, 10, 7 * k, 4096):
         monkeypatch.setattr(sources, "_BLOCK", block)
+        step = max(1, block // k)
+        want = [(1, None)] + [
+            (1, min(step, states - lo)) for states in distinct for lo in range(0, states, step)
+        ]
         calls.clear()
-        got = bits(tl.enumerate_word_log_probs(source, length))
-        np.testing.assert_array_equal(got, bits(reference(source, length)))
-        assert calls == want, (block, length)
+        got = bits(tl.enumerate_word_log_probs(source, n))
+        np.testing.assert_array_equal(got, bits(reference(source, n)))
+        assert calls == want, block
+        assert max(states * k for _, states in calls[1:]) <= max(block, k)
+        calls.clear()
+        _word_levels(source, n)
+        assert calls == want, block
+        calls.clear()
+        got = bits(tl.enumerate_word_log_probs(source, 1))
+        np.testing.assert_array_equal(got, bits(reference(source, 1)))
+        assert calls == [(1, None)]
 
 
 @pytest.mark.parametrize("name", ["s3_markov", "s3_hmm"])
-def test_one_word_runs_no_block_driver(name, monkeypatch):
+def test_one_word_runs_no_state_table(name, monkeypatch):
     source = shipped(name)
     words = list(itertools.product(source.alphabet.symbols, repeat=6))
     want = bits(tl.enumerate_word_log_probs(source, 6))
 
     def no_driver(*args):
-        raise AssertionError("string_log_prob entered the block driver")
+        raise AssertionError("string_log_prob entered the state table")
 
-    monkeypatch.setattr(sources, "_chain_words", no_driver)
+    monkeypatch.setattr(sources, "_state_table", no_driver)
     np.testing.assert_array_equal(bits([tl.string_log_prob(source, w) for w in words]), want)
+
+
+#: (source, its oracle, largest n) of the colliding-hash checks: chains
+#: whose prefixes repeat a log-prob below n (most seeded hidden chains never do)
+COLLIDING = [(shipped("s3_markov"), reference_markov_word_log_probs, 8),
+             (shipped("s3_hmm"), reference_hmm_word_log_probs, 8)] + [
+    (random_markov(seed), reference_markov_word_log_probs, 6) for seed in range(4)
+] + [(random_hmm(seed), reference_hmm_word_log_probs, 6) for seed in (3, 8, 11, 20)]
+
+
+@pytest.mark.parametrize(
+    "source, reference, n_max", COLLIDING, ids=[f"chain-{i}" for i in range(len(COLLIDING))]
+)
+def test_colliding_hashes_keep_the_reference_bits(source, reference, n_max, monkeypatch):
+    """Every candidate hashed alike: each level whose log-probs repeat and
+    which holds two distinct pairs fails the member check and is grouped by
+    `np.unique`."""
+    monkeypatch.setattr(sources, "_mix", lambda logp, state: np.zeros(logp.size, np.uint64))
+    fallbacks, unique = [], np.unique
+
+    def counting_unique(*args, **kwargs):
+        fallbacks.append(kwargs.get("axis"))
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(sources.np, "unique", counting_unique)
+    for n in range(1, n_max + 1):
+        want = reference(source, n)
+        np.testing.assert_array_equal(bits(tl.enumerate_word_log_probs(source, n)), bits(want))
+        levels, level_of = _word_levels(source, n)
+        want_levels, want_level_of = reference_word_levels(want)
+        np.testing.assert_array_equal(bits(levels), bits(want_levels))
+        np.testing.assert_array_equal(level_of, want_level_of)
+        assert level_of.dtype == want_level_of.dtype
+    assert fallbacks.count(0) > 0
 
 
 #: (source maker, its argument, largest n) of the chain level indexes checked
