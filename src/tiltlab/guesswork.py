@@ -64,7 +64,8 @@ def _rank_order(levels: np.ndarray, level_of: np.ndarray, tie_tol: float) -> np.
     every group's strings in lexicographic order, which is the tie-break.
     The keys are gathered `sources._BLOCK` strings at a time, so no
     string-sized intp array is made.  `build_rank_table` holds N to 2^31,
-    so b <= 31 and the indices fit uint32.
+    so b <= 31 and the indices fit uint32: uint64 keys are cast into the
+    front of their buffer a block at a time, and the rest is released.
     """
     by_level = np.argsort(-levels)  # order among equal levels does not matter
     ids = _tie_group_ids(levels[by_level], tie_tol)
@@ -74,7 +75,8 @@ def _rank_order(levels: np.ndarray, level_of: np.ndarray, tie_tol: float) -> np.
     group[by_level] = ids
     del by_level, ids
     group <<= b
-    key = np.empty(level_of.size, dtype=key_type)
+    order = np.empty(level_of.size * (np.dtype(key_type).itemsize // 4), dtype=np.uint32)
+    key = order.view(key_type)
     for start in range(0, key.size, sources._BLOCK):
         block = key[start : start + sources._BLOCK]
         np.take(group, level_of[start : start + block.size], out=block)
@@ -82,7 +84,13 @@ def _rank_order(levels: np.ndarray, level_of: np.ndarray, tie_tol: float) -> np.
     del group
     key.sort()
     key &= (1 << b) - 1
-    return key.astype(np.uint32, copy=False)
+    if key_type is np.uint64:
+        for start in range(0, key.size, sources._BLOCK):
+            block = key[start : start + sources._BLOCK]
+            order[start : start + block.size] = block  # numpy copies an overlapping block first
+        del key, block
+        order.resize(level_of.size, refcheck=False)  # no view of the buffer is left
+    return order
 
 
 def _decode_strings(symbols: tuple[str, ...], n: int, lex_indices: np.ndarray) -> list[str]:
@@ -188,14 +196,9 @@ class RankTable:
         return math.log(self.reverse_guesswork(x))
 
     def _ranked_levels(self) -> np.ndarray:
-        """`level_of[order]`, the level at each rank, gathered `sources._BLOCK`
-        ranks at a time: numpy casts an index array to intp before it
-        gathers, so one whole gather would hold an 8-byte copy of `order`."""
-        ranked = np.empty(self.size, dtype=self.level_of.dtype)
-        for start in range(0, self.size, sources._BLOCK):
-            stop = start + sources._BLOCK
-            np.take(self.level_of, self.order[start:stop], out=ranked[start:stop])
-        return ranked
+        """`level_of[order]`, the level at each rank, gathered by blocks
+        (`sources._gather`), so no intp copy of `order` is made."""
+        return sources._gather(self.order, self.level_of[:, None])
 
     def pmf(self) -> np.ndarray:
         """Probability at each rank; pmf()[r - 1] is the rank-r probability."""

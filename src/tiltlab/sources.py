@@ -364,9 +364,8 @@ def string_log_prob(source: SequenceSource, x: Union[str, Sequence[str]]) -> flo
     the same rules: an i.i.d. string gets its type class's log-prob, summed
     by the class rule (so a zero-probability symbol gives -inf only to
     strings that use it), and Markov and hidden Markov strings run the
-    enumeration's level loop, one symbol slice per level, as one block.  It is the
-    entry bit for bit, except that a hidden chain with many states may move
-    the last bits: one row's state sums and products reduce in another order.
+    enumeration's level loop on their one prefix, keeping one symbol per
+    level.  It is the entry bit for bit.
     """
     idx = source.alphabet.encode(x)
     if isinstance(source, CategoricalSource):
@@ -405,24 +404,26 @@ def _markov_forward(source: MarkovSource, levels, start=None, carry=False):
 def _hmm_forward(source: HiddenMarkovSource, levels, start=None, carry=False):
     """Scaled forward recursion: `_markov_forward` for a hidden chain, whose
     word's state is its propagated state vector (the start distribution for
-    the empty prefix).  Each level adds the log of each product's sum, and
-    only a state that a next level (or `carry`) propagates is normalized by
-    it.  A slice (all symbols) keeps `emission.T` a column-major view, which
-    sets the first level's summation order from the start distribution; every
-    other product is built in C order, so its `reshape` is a view.
+    the empty prefix).  Each level runs every prefix by the whole emission
+    matrix and then keeps the level's symbols, so one string runs the
+    enumeration's step: a matrix product gives a row the same bits whatever
+    the row count.  Each level adds the log of each product's sum, and only
+    a state that a next level (or `carry`) propagates is normalized by it.
+    The first level from the empty prefix keeps `emission.T` column-major,
+    which sets its summation order; every other product is built in C
+    order, so its `reshape` is a view.
 
     Below 8 states a product's sum is column adds in state order, which is
     the sequence numpy's row sum adds in there, at a fraction of its cost.
     From 8 states on, numpy sums a C-ordered row pairwise, so those sources
     keep the axis sum."""
     emission_t = source.emission.T  # (symbols, states)
-    states = source.n_states
+    states, k = source.n_states, len(source.alphabet)
     logp, prior = (np.zeros(1), source.initial[None, :]) if start is None else start
     with np.errstate(divide="ignore"):  # a zero sum's log is -inf
         for j, symbols in enumerate(levels):
-            emit = emission_t[symbols]
             order = "K" if start is None and j == 0 else "C"
-            product = np.multiply(prior[:, None, :], emit[None], order=order)
+            product = np.multiply(prior[:, None, :], emission_t[None], order=order)
             forward = product.reshape(-1, states)
             if states < 8:
                 scale = forward[:, 0].copy()
@@ -432,9 +433,9 @@ def _hmm_forward(source: HiddenMarkovSource, levels, start=None, carry=False):
                 scale = forward.sum(axis=1)
             if carry or j + 1 < len(levels):
                 prior = (forward / np.where(scale > 0, scale, 1.0)[:, None]) @ source.transition
+                prior = prior.reshape(-1, k, states)[:, symbols].reshape(-1, states)
             del product, forward
-            logp = np.repeat(logp, len(emit))
-            logp += np.log(scale)
+            logp = (logp[:, None] + np.log(scale.reshape(logp.size, k)[:, symbols])).reshape(-1)
     return logp, prior
 
 
@@ -519,43 +520,37 @@ def _distinct(logp: np.ndarray, state: np.ndarray):
     """(group, logp, state) of a level's candidates: the distinct (log-prob
     bits, state bits) pairs, and the id among them of each candidate; group
     is None, and the candidates are returned as they are, when all are
-    distinct: one sort of the log-prob bits finds that.  Otherwise
-    candidates are grouped by their `_mix` hashes (`_runs`), and each is
-    checked equal to one member of its group, bit for bit; if one is not
-    (two pairs share a hash), `np.unique` groups the level."""
+    distinct: one sort of the log-prob bits finds that.  Otherwise the
+    candidates are sorted by their `_mix` hashes, and a group is a run of
+    equal hashes and equal bits (`_runs`): two pairs that share a hash
+    split a run, and are never merged."""
     bits = np.sort(logp.view(np.int64))
     if np.count_nonzero(bits[1:] == bits[:-1]) == 0:  # distinct bits, distinct pairs
         return None, logp, state
     del bits
-    hashes, group = _runs(_mix(logp, state))
-    firsts = np.empty(hashes.size, dtype=np.intp)  # one member of each group
-    firsts[group] = np.arange(logp.size)
-    del hashes
-    pairs = [logp.view(np.int64), state.view(np.int64)]
-    if all(np.array_equal(column[lo : lo + _BLOCK], column[firsts[group[lo : lo + _BLOCK]]])
-           for column in pairs for lo in range(0, logp.size, _BLOCK)):
-        return group, logp[firsts], state[firsts]
-    rows = np.column_stack([pairs[0], pairs[1].reshape(logp.size, -1)])
-    rows, group = np.unique(rows, axis=0, return_inverse=True)
-    logp = rows[:, 0].copy().view(np.float64)
-    state = rows[:, 1:].copy().view(state.dtype).reshape((-1,) + state.shape[1:])
-    return group.reshape(-1).astype(np.min_scalar_type(len(rows) - 1)), logp, state
+    columns = state.view(np.int64).reshape(logp.size, -1).T
+    firsts, group = _runs(_mix(logp, state), logp.view(np.int64), *columns)
+    return group, logp[firsts], state[firsts]
 
 
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct, ids): the distinct entries of `keys` ascending, and each
-    entry's index among them, in the smallest integer type, by one sort."""
-    perm = np.argsort(keys)  # any sort: equal keys share a run whatever their order
-    ordered = keys[perm]
-    starts = np.empty(keys.size, dtype=bool)
+def _runs(key: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(firsts, ids) of the rows after one sort by `key`: a run starts where
+    the key or any column differs from the row before; `firsts` holds one
+    row of each run, in key order, and `ids` each row's run in the smallest
+    integer type.  Rows are compared `_BLOCK` at a time, never copied whole."""
+    perm = np.argsort(key)  # any sort: equal keys share a run whatever their order
+    starts = np.zeros(key.size, dtype=bool)
     starts[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    distinct = ordered[starts]
-    del ordered
+    for lo in range(1, key.size, _BLOCK):
+        at = perm[lo - 1 : lo + _BLOCK]  # the block and the row before it
+        for column in (key, *columns):
+            rows = column[at]
+            starts[lo : lo + _BLOCK] |= rows[1:] != rows[:-1]
+    firsts = perm[starts]
     starts[0] = False  # a run's index counts the runs that start before it
-    ids = np.empty(keys.size, dtype=np.min_scalar_type(distinct.size - 1))
+    ids = np.empty(key.size, dtype=np.min_scalar_type(firsts.size - 1))
     ids[perm] = np.cumsum(starts, dtype=ids.dtype)
-    return distinct, ids
+    return firsts, ids
 
 
 def _gather(ids, *tables) -> np.ndarray:
@@ -691,9 +686,10 @@ def _word_levels(source: SequenceSource, n: int) -> tuple[np.ndarray, np.ndarray
     if isinstance(source, CategoricalSource):
         return _type_classes(source, n)
     logp, words = _state_table(source, n)
-    bits, level_of = _runs(logp.view(np.int64))
-    del logp
-    return bits.view(np.float64), words(level_of)
+    firsts, level_of = _runs(logp.view(np.int64))
+    levels = logp[firsts]
+    del logp, firsts
+    return levels, words(level_of)
 
 
 def _type_classes(source: CategoricalSource, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -4,14 +4,12 @@
 blocks: every length-n word in lexicographic order, one whole level at a
 time.  The state table must give the same floats, bit for bit.
 
-The two hidden-Markov forward recursions are the ones `sources._hmm_forward`
-replaced.  `reference_hmm_word_log_probs` is the old enumeration branch: every
-length-n word in lexicographic order, one scaled forward vector per prefix,
-with the first level written out before the loop; `reference_hmm_prefixes`
-also returns those vectors.  `reference_hmm_log_prob`
-is the old per-string recursion over a 1-D forward vector, which returns
--inf as soon as a prefix has probability 0.  The shared recursion must give
-the same floats, bit for bit.
+`reference_hmm_word_log_probs` is the hidden-Markov enumeration that
+`sources._hmm_forward` replaced: every length-n word in lexicographic order,
+one scaled forward vector per prefix, with the first level written out
+before the loop; `reference_hmm_prefixes` also returns those vectors, and
+`reference_hmm_entries` reads one string's entry.  The shared recursion must
+give the same floats, bit for bit, to words and to single strings.
 
 `reference_word_levels` is the old level index of a chain table: `np.unique`
 on the int64 views of the enumerated log-probs.
@@ -64,21 +62,17 @@ def reference_hmm_prefixes(source, n):
     return logp, forward
 
 
-def reference_hmm_log_prob(source, x):
-    """Log-prob of one string (a sequence of symbols) of a hidden Markov source."""
-    idx = source.alphabet.encode(x)
-    forward = source.initial * source.emission[:, idx[0]]
-    lp = 0.0
-    for j in idx[1:]:
-        total = float(forward.sum())
-        if total <= 0.0:
-            return -np.inf
-        lp += np.log(total)
-        forward = (forward / total) @ source.transition * source.emission[:, j]
-    total = float(forward.sum())
-    if total <= 0.0:
-        return -np.inf
-    return lp + float(np.log(total))
+def reference_hmm_entries(source, strings):
+    """The entries of `reference_hmm_word_log_probs` at the given strings,
+    each enumerated at its own length once."""
+    k, words = len(source.alphabet), {}
+    entries = []
+    for x in strings:
+        idx = source.alphabet.encode(x)
+        if idx.size not in words:
+            words[idx.size] = reference_hmm_word_log_probs(source, idx.size)
+        entries.append(words[idx.size][np.ravel_multi_index(idx, (k,) * idx.size)])
+    return np.array(entries)
 
 
 def reference_word_levels(logp):

@@ -1,8 +1,9 @@
 """Each source rule in one place: the shared hidden-Markov forward recursion
-against the two it replaced, bit for bit; `log_theta` built with the source;
-the constructors' shape checks; the typical-set rules of `approx_set_size`;
-the one-`lexsort` reverse-duality check against a per-tie-class loop; and the
-TypeError every i.i.d.-only function gives a chain source."""
+against the enumeration it replaced, bit for bit, for words and strings;
+`log_theta` built with the source; the constructors' shape checks; the
+typical-set rules of `approx_set_size`; the one-`lexsort` reverse-duality
+check against a per-tie-class loop; and the TypeError every i.i.d.-only
+function gives a chain source."""
 import itertools
 
 import numpy as np
@@ -17,7 +18,7 @@ from tiltlab import verify
 from tiltlab.errors import NotNormalized, SourceSpecError
 
 from conftest import random_hmm
-from reference_sources import reference_hmm_log_prob, reference_hmm_word_log_probs
+from reference_sources import reference_hmm_entries, reference_hmm_word_log_probs
 
 
 def as_bits(values):
@@ -25,6 +26,8 @@ def as_bits(values):
 
 
 def assert_hmm_bits(source, n_max, rng):
+    """Words, table log-probs and strings of up to 2^16 words' length (30
+    drawn) have the reference enumeration's bits."""
     k = len(source.alphabet)
     symbols = source.alphabet.symbols
     for n in range(1, n_max + 1):
@@ -32,9 +35,11 @@ def assert_hmm_bits(source, n_max, rng):
         assert as_bits(words) == as_bits(reference_hmm_word_log_probs(source, n))
         assert as_bits(gw.build_rank_table(source, n).log_probs) == as_bits(words)
     short = list(itertools.product(symbols, repeat=min(n_max, 4)))
-    long = [[symbols[i] for i in rng.integers(0, k, rng.integers(1, 16))] for _ in range(30)]
-    for x in short + long:
-        assert as_bits(tl.string_log_prob(source, x)) == as_bits(reference_hmm_log_prob(source, x))
+    longest = int(16 / np.log2(k))
+    long = [[symbols[i] for i in rng.integers(0, k, rng.integers(1, longest + 1))]
+            for _ in range(30)]
+    got = [tl.string_log_prob(source, x) for x in short + long]
+    assert as_bits(got) == as_bits(reference_hmm_entries(source, short + long))
 
 
 def test_shipped_hmm_forward_matches_reference_bits(s3_hmm):

@@ -2,9 +2,14 @@
 
 Every string's log-prob must be the one `build_rank_table` stores for it:
 the type-class sum for i.i.d. sources, the forward recursions for Markov and
-hidden Markov sources.
+hidden Markov sources, whatever the BLAS thread count.
 """
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +29,13 @@ S77_SAMPLE = 3000
 #: largest table a drawn source builds
 MAX_STRINGS = 1024
 
-#: relative distance allowed between a random hidden Markov string's two log-probs
-HMM_RTOL = 1e-15
+#: (`random_hmm` seed, n) of the thread-count checks: 8 to 12 hidden states
+#: (numpy's row sums), and 2^16 or 3^10 words, so the enumeration's matrix
+#: products run on many rows
+MANY_STATES = ((0, 8), (4, 8), (9, 10), (14, 16))
+
+#: strings drawn from each of those tables
+DRAWN = 600
 
 
 def as_bits(values):
@@ -98,18 +108,39 @@ def test_random_markov_strings_match_the_table(seed):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_random_hmm_strings_match_the_table_to_the_last_bits(seed):
-    """Not bit for bit: with many hidden states the per-string recursion sums
-    its one forward row pairwise and propagates it by a BLAS vector-matrix
-    product, where the enumeration sums a strided first level and propagates
-    all prefixes by a matrix product.  Each path is pinned to its own oracle
-    in test_source_rules.py; the shipped 2-state s3_hmm agrees exactly."""
     source = random_hmm(seed)
     for n in chain_lengths(source):
-        table = tl.build_rank_table(source, n)
-        words = itertools.product(source.alphabet.symbols, repeat=n)
-        got = np.array([tl.string_log_prob(source, w) for w in words])
-        np.testing.assert_array_equal(np.isfinite(got), np.isfinite(table.log_probs))
-        finite = np.isfinite(got)
-        np.testing.assert_allclose(
-            got[finite], table.log_probs[finite], rtol=HMM_RTOL, atol=0
+        assert_table_bits(source, n)
+
+
+def hmm_string_digest():
+    """Check drawn strings of many-state hidden chains against their tables,
+    bit for bit, and return a digest of the strings' bits; run in a
+    subprocess per BLAS thread count."""
+    digest = hashlib.sha256()
+    for seed, n in MANY_STATES:
+        source = random_hmm(seed)
+        assert source.n_states >= 8
+        symbols = np.array(source.alphabet.symbols)
+        rng = np.random.default_rng(seed)
+        words = [tuple(w) for w in symbols[rng.integers(0, len(symbols), (DRAWN, n))]]
+        assert_table_bits(source, n, words)
+        digest.update(as_bits([tl.string_log_prob(source, w) for w in words]).tobytes())
+    return digest.hexdigest()
+
+
+def test_hmm_string_bits_do_not_depend_on_the_blas_thread_count():
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                         os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import test_string_log_prob as t; print(t.hmm_string_digest())"],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
         )
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert digests[0] == digests[1]

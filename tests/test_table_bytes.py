@@ -5,11 +5,13 @@ extends the distinct (log-prob bits, state) pairs of the level before, in
 blocks of candidate rows.  Their words must have the old recursions' bits
 whatever the block height (and, for the hidden chain, the BLAS thread
 count), also when every hash of a pair collides, and one word runs no state
-table.  A chain table's level index is built from one sort of the last
-level's distinct candidates and must equal `np.unique`'s.  The build's and
-the enumeration's tracemalloc peaks per string and the bytes a table holds
-per string are bounded, and `tie_groups()` takes the smallest unsigned
-integer type that holds the number of groups.
+table.  Each level's groups are its distinct (bits, state) pairs, and under
+colliding hashes each still holds only bit-equal pairs.  A chain table's
+level index is built from one sort of the last level's distinct candidates
+and must equal `np.unique`'s.  The build's and the enumeration's
+tracemalloc peaks per string and the bytes a table holds per string are
+bounded, and `tie_groups()` takes the smallest unsigned integer type that
+holds the number of groups.
 """
 import hashlib
 import itertools
@@ -47,8 +49,14 @@ THREADED_BLOCKS = ("7k", 4096, sources._BLOCK)
 
 #: tracemalloc peak per string allowed to a chain build at n = 12; the
 #: `np.unique` level index peaked at 49 B, one sort of all k^n bits at 24 B,
-#: the state table at 7.6 B (`s3_markov`) and 14.5 B (`s3_hmm`)
+#: the state table at 7.6 B (`s3_markov`) and 14.5 B (`s3_hmm`; 13.0 B
+#: without the member check of each hash group)
 CHAIN_BUILD_BYTES_PER_STRING = 16
+
+#: the same for `s3_markov` at n = 13, whose packed rank keys are uint64:
+#: 14.05 B with a uint32 copy of the sorted keys, 10.76 B with the keys cast
+#: into the front of their own buffer
+WIDE_KEY_BUILD_BYTES_PER_STRING = 12
 
 #: the same for `s2` at n = 20: 25 B with an N-sized `arange` for `rank_of`
 #: and int64 tie groups in the build, 17.5 B without, 10 B with an int64
@@ -247,21 +255,29 @@ COLLIDING = [(shipped("s3_markov"), reference_markov_word_log_probs, 8),
 ] + [(random_hmm(seed), reference_hmm_word_log_probs, 6) for seed in (3, 8, 11, 20)]
 
 
+def spy_groups(monkeypatch):
+    """The (candidates, group, distinct states) of every call of
+    `_distinct`, as a list that fills while the patch holds."""
+    calls, distinct = [], sources._distinct
+
+    def spy(logp, state):
+        found = distinct(logp, state)
+        calls.append(((logp, state), *found))
+        return found
+
+    monkeypatch.setattr(sources, "_distinct", spy)
+    return calls
+
+
 @pytest.mark.parametrize(
     "source, reference, n_max", COLLIDING, ids=[f"chain-{i}" for i in range(len(COLLIDING))]
 )
 def test_colliding_hashes_keep_the_reference_bits(source, reference, n_max, monkeypatch):
-    """Every candidate hashed alike: each level whose log-probs repeat and
-    which holds two distinct pairs fails the member check and is grouped by
-    `np.unique`."""
+    """Every candidate hashed alike: each run of a grouped level holds only
+    pairs equal to its distinct state, bit for bit, and the words and levels
+    keep the oracles' bits."""
     monkeypatch.setattr(sources, "_mix", lambda logp, state: np.zeros(logp.size, np.uint64))
-    fallbacks, unique = [], np.unique
-
-    def counting_unique(*args, **kwargs):
-        fallbacks.append(kwargs.get("axis"))
-        return unique(*args, **kwargs)
-
-    monkeypatch.setattr(sources.np, "unique", counting_unique)
+    calls = spy_groups(monkeypatch)
     for n in range(1, n_max + 1):
         want = reference(source, n)
         np.testing.assert_array_equal(bits(tl.enumerate_word_log_probs(source, n)), bits(want))
@@ -270,7 +286,24 @@ def test_colliding_hashes_keep_the_reference_bits(source, reference, n_max, monk
         np.testing.assert_array_equal(bits(levels), bits(want_levels))
         np.testing.assert_array_equal(level_of, want_level_of)
         assert level_of.dtype == want_level_of.dtype
-    assert fallbacks.count(0) > 0
+    grouped = [call for call in calls if call[1] is not None]
+    assert grouped
+    for (logp, state), group, distinct_logp, distinct_state in grouped:
+        np.testing.assert_array_equal(bits(distinct_logp)[group], bits(logp))
+        np.testing.assert_array_equal(distinct_state.view(np.int64)[group], state.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "source, reference, n_max", COLLIDING, ids=[f"chain-{i}" for i in range(len(COLLIDING))]
+)
+def test_each_level_groups_its_distinct_prefix_states(source, reference, n_max, monkeypatch):
+    """With the real hash, level j's candidates fall into as many groups as
+    the length-j prefixes have distinct (bits, state) pairs: no run is split
+    and none merged."""
+    calls = spy_groups(monkeypatch)
+    tl.enumerate_word_log_probs(source, n_max)
+    got = [distinct_logp.size for _, _, distinct_logp, _ in calls]
+    assert got == [distinct_prefix_states(source, j) for j in range(1, n_max)]
 
 
 #: (source maker, its argument, largest n) of the chain level indexes checked
@@ -311,7 +344,7 @@ def build_peak_per_string(source, n):
 @pytest.mark.parametrize(
     "name, n, bound",
     [("s3_markov", 12, CHAIN_BUILD_BYTES_PER_STRING), ("s3_hmm", 12, CHAIN_BUILD_BYTES_PER_STRING),
-     ("s2", 20, S2_BUILD_BYTES_PER_STRING)],
+     ("s3_markov", 13, WIDE_KEY_BUILD_BYTES_PER_STRING), ("s2", 20, S2_BUILD_BYTES_PER_STRING)],
 )
 def test_build_peak_per_string(name, n, bound):
     assert build_peak_per_string(shipped(name), n) < bound
