@@ -38,9 +38,9 @@ DEFAULT_BUDGET = 2**24
 @dataclass(frozen=True, eq=False)
 class Alphabet:
     """Ordered set of distinct symbol tokens whose written strings read back:
-    no string splits into them in more than one way, and no symbol holds a
-    character that splits or quotes a CSV field (`,`, `"`, CR or LF);
-    SourceSpecError otherwise.
+    each is UTF-8 text, no string splits into them in more than one way, and
+    no symbol holds a character that splits or quotes a CSV field (`,`, `"`,
+    CR or LF); SourceSpecError otherwise.
 
     The order is significant: it defines lexicographic comparison, which is
     how probability ties are broken everywhere in the library.
@@ -55,6 +55,12 @@ class Alphabet:
             raise SourceSpecError("alphabet needs at least two symbols")
         if any(not isinstance(s, str) or not s for s in symbols):
             raise SourceSpecError("alphabet symbols must be non-empty strings")
+        try:
+            "".join(symbols).encode("utf-8")
+        except UnicodeEncodeError:
+            raise SourceSpecError(
+                f"alphabet {symbols!r} has a symbol that is not UTF-8 text (a lone surrogate)"
+            ) from None
         if any(c in s for s in symbols for c in ',"\r\n'):
             raise SourceSpecError(
                 f"alphabet {symbols!r} has a symbol holding ',', '\"', CR or LF, "
@@ -819,12 +825,14 @@ def source_from_dict(spec: dict) -> SequenceSource:
 
 
 def load_source(path: Union[str, Path]) -> SequenceSource:
-    """Read a JSON source spec file."""
+    """Read a JSON source spec file, as UTF-8 whatever the locale."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise SourceSpecError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SourceSpecError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         spec = json.loads(text)
     except json.JSONDecodeError as exc:

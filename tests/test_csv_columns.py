@@ -63,7 +63,8 @@ def int_arrays(size, low=-(2**63)):
 
 
 def str_lists(size):
-    text = st.text(st.characters(blacklist_characters=",\n\r"), max_size=6)
+    """Texts UTF-8 can hold (no lone surrogates: `Alphabet` refuses them)."""
+    text = st.text(st.characters(codec="utf-8", blacklist_characters=",\n\r"), max_size=6)
     return st.lists(text, min_size=size, max_size=size)
 
 
@@ -72,7 +73,7 @@ def str_lists(size):
 # row-wise writer receives).
 
 def float_columns(size):
-    return float_arrays(size).map(lambda v: (cli._float_bytes(v), list(v)))
+    return float_arrays(size).map(lambda v: (*cli._float_bytes(v), list(v)))
 
 
 def int_columns(size):
@@ -137,7 +138,7 @@ def test_blocks_split_a_tuple_between_its_parts(block):
     2 floats and 2 texts; the second field counts in sevens.
     Blocks of 1 to 9 rows split the parts inside and between them."""
     ints, floats, texts = [1, 20, 300, 4000, 50000], [0.5, -1e-300], ["x", "\u00e9"]
-    firsts = [(cli._int_bytes(np.array(ints)), ints), (cli._float_bytes(np.array(floats)), floats),
+    firsts = [(cli._int_bytes(np.array(ints)), ints), (*cli._float_bytes(np.array(floats)), floats),
               (cli._coded_bytes(texts, np.arange(2)), texts)]
     sevens = [7 * np.arange(a, b) for a, b in ((0, 5), (5, 7), (7, 9))]
     parts = tuple([first, (cli._int_bytes(s), list(s))] for first, s in zip(firsts, sevens))
@@ -150,8 +151,10 @@ def test_int_texts_are_str_at_the_int64_extremes():
     assert written(cli._write_csv, ["n"], META, [column]).splitlines()[2:] == list(map(str, edges))
 
 
-def test_texts_keep_surrogates_nul_and_multibyte_characters():
-    texts = ["\ud800", "a\x00b", "\x00", "\u65e5\u672c", "\U0001f600", "", "\udcff\ud83d"]
+def test_texts_keep_nul_and_multibyte_characters():
+    """Texts of 0 to 4 UTF-8 bytes per character.  Lone surrogates are not
+    text a column can hold: `Alphabet` refuses them."""
+    texts = ["\u00e9", "a\x00b", "\x00", "\u65e5\u672c", "\U0001f600", "", "\U0001f600\u00e9"]
     codes = np.array([6, 5, 4, 3, 2, 1, 0, 0])
     others = texts + ["z"]
     group = [(cli._coded_bytes(texts, codes), [texts[c] for c in codes]),
@@ -173,7 +176,7 @@ def test_rank_table_codes_give_the_pmf_and_log_prob_bits():
 
 def test_float_texts_keep_every_bit_pattern():
     column = np.concatenate([SPECIALS, SPECIALS[::-1]])
-    got = written(cli._write_csv, ["x"], META, [cli._float_bytes(column)]).splitlines()[2:]
+    got = written(cli._write_csv, ["x"], META, cli._float_bytes(column)).splitlines()[2:]
     assert got == [repr(float(x)) for x in column]
     assert got[:10] == ["0.0", "-0.0", "inf", "-inf", "nan", "nan", "nan", "nan", "5e-324", "-5e-324"]
 
@@ -181,7 +184,7 @@ def test_float_texts_keep_every_bit_pattern():
 def test_mixed_rank_column_keeps_int_and_float_text():
     """Int exact ranks, then float curve ranks, in blocks of two rows: one
     block boundary falls inside the first group and one between the groups."""
-    exact, curve = [cli._int_bytes(np.arange(1, 4))], [cli._float_bytes(np.array([3.0, 17.0]))]
+    exact, curve = [cli._int_bytes(np.arange(1, 4))], cli._float_bytes(np.array([3.0, 17.0]))
     with mock.patch.object(sources, "_BLOCK", 2):
         got = written(cli._write_csv, ["rank"], META, exact, curve)
     assert got.splitlines()[2:] == ["1", "2", "3", "3.0", "17.0"]
@@ -204,7 +207,7 @@ def test_rows_are_written_in_blocks_of_the_source_block():
 
 
 def test_file_and_stdout_agree(tmp_path):
-    columns = [cli._float_bytes(np.array([0.5, -0.0])), cli._coded_bytes(["a", "b"], np.arange(2))]
+    columns = [*cli._float_bytes(np.array([0.5, -0.0])), cli._coded_bytes(["a", "b"], np.arange(2))]
     cli._write_csv(tmp_path / "x.csv", ["p", "s"], META, columns)
     assert (tmp_path / "x.csv").read_text() == written(cli._write_csv, ["p", "s"], META, columns)
 
